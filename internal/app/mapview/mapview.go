@@ -177,10 +177,11 @@ func NewViewer(rig *env.Rig) *Viewer {
 // Name implements core.Adaptive.
 func (v *Viewer) Name() string { return "map" }
 
+// viewerLevelNames name viewerLevels, in the same order.
+var viewerLevelNames = []string{"cropped+secondary-filter", "secondary-filter", "minor-filter", "full-detail"}
+
 // Levels implements core.Adaptive.
-func (v *Viewer) Levels() []string {
-	return []string{"cropped+secondary-filter", "secondary-filter", "minor-filter", "full-detail"}
-}
+func (v *Viewer) Levels() []string { return viewerLevelNames }
 
 // Level implements core.Adaptive.
 func (v *Viewer) Level() int { return v.level }

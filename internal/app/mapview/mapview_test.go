@@ -126,6 +126,10 @@ func TestViewerAdaptive(t *testing.T) {
 	if v.Name() != "map" || len(v.Levels()) != 4 {
 		t.Fatalf("viewer identity wrong: %q %v", v.Name(), v.Levels())
 	}
+	var levels []string
+	if allocs := testing.AllocsPerRun(100, func() { levels = v.Levels() }); allocs != 0 || len(levels) != 4 {
+		t.Fatalf("Levels made %v allocations per call", allocs)
+	}
 	if v.Config().Filter != FullDetail || v.Config().Cropped {
 		t.Fatal("viewer does not start at full detail")
 	}

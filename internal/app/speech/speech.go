@@ -282,8 +282,11 @@ func NewRecognizer(rig *env.Rig) *Recognizer {
 // Name implements core.Adaptive.
 func (r *Recognizer) Name() string { return "speech" }
 
+// recognizerLevels are the recognizer's fidelity level names, lowest first.
+var recognizerLevels = []string{"reduced-vocabulary", "full-vocabulary"}
+
 // Levels implements core.Adaptive.
-func (r *Recognizer) Levels() []string { return []string{"reduced-vocabulary", "full-vocabulary"} }
+func (r *Recognizer) Levels() []string { return recognizerLevels }
 
 // Level implements core.Adaptive.
 func (r *Recognizer) Level() int { return r.level }

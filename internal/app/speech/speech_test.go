@@ -125,6 +125,10 @@ func TestRecognizerAdaptive(t *testing.T) {
 	if r.Name() != "speech" || len(r.Levels()) != 2 {
 		t.Fatalf("recognizer identity wrong: %q %v", r.Name(), r.Levels())
 	}
+	var levels []string
+	if allocs := testing.AllocsPerRun(100, func() { levels = r.Levels() }); allocs != 0 || len(levels) != 2 {
+		t.Fatalf("Levels made %v allocations per call", allocs)
+	}
 	if r.Vocab() != FullVocab {
 		t.Fatal("recognizer does not start at full vocabulary")
 	}

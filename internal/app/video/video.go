@@ -182,14 +182,19 @@ func NewPlayer(rig *env.Rig) *Player {
 // Name implements core.Adaptive.
 func (pl *Player) Name() string { return "video" }
 
-// Levels implements core.Adaptive.
-func (pl *Player) Levels() []string {
-	names := make([]string, len(pl.tracks))
-	for i, t := range pl.tracks {
+// trackNames are the adaptation tracks' names, built once and shared by
+// every player's Levels.
+var trackNames = func() []string {
+	tracks := AdaptationTracks()
+	names := make([]string, len(tracks))
+	for i, t := range tracks {
 		names[i] = t.Name
 	}
 	return names
-}
+}()
+
+// Levels implements core.Adaptive.
+func (pl *Player) Levels() []string { return trackNames }
 
 // Level implements core.Adaptive.
 func (pl *Player) Level() int { return pl.level }

@@ -135,6 +135,15 @@ func TestPlayerAdaptationLevels(t *testing.T) {
 	if pl.Name() != "video" {
 		t.Fatalf("name %q", pl.Name())
 	}
+	var levels []string
+	if allocs := testing.AllocsPerRun(100, func() { levels = pl.Levels() }); allocs != 0 {
+		t.Fatalf("Levels made %v allocations per call", allocs)
+	}
+	for i, trk := range AdaptationTracks() {
+		if levels[i] != trk.Name {
+			t.Fatalf("level %d is %q, track is %q", i, levels[i], trk.Name)
+		}
+	}
 }
 
 func TestMidPlaybackAdaptation(t *testing.T) {

@@ -277,14 +277,18 @@ func NewBrowser(rig *env.Rig) *Browser {
 // Name implements core.Adaptive.
 func (b *Browser) Name() string { return "web" }
 
-// Levels implements core.Adaptive.
-func (b *Browser) Levels() []string {
+// browserLevelNames are browserLevels' names, built once and shared by every
+// browser's Levels.
+var browserLevelNames = func() []string {
 	names := make([]string, len(browserLevels))
 	for i, q := range browserLevels {
 		names[i] = q.String()
 	}
 	return names
-}
+}()
+
+// Levels implements core.Adaptive.
+func (b *Browser) Levels() []string { return browserLevelNames }
 
 // Level implements core.Adaptive.
 func (b *Browser) Level() int { return b.level }

@@ -109,6 +109,10 @@ func TestBrowserAdaptive(t *testing.T) {
 	if b.Name() != "web" || len(b.Levels()) != 5 {
 		t.Fatalf("browser identity wrong: %q %v", b.Name(), b.Levels())
 	}
+	var levels []string
+	if allocs := testing.AllocsPerRun(100, func() { levels = b.Levels() }); allocs != 0 || len(levels) != 5 {
+		t.Fatalf("Levels made %v allocations per call", allocs)
+	}
 	if b.Quality() != FullFidelity {
 		t.Fatal("browser does not start at full fidelity")
 	}

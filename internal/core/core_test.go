@@ -590,3 +590,25 @@ func TestBudgetSharesReallocation(t *testing.T) {
 		t.Fatalf("reallocation traced %d supervise events, want 3 (1 reallocation + 2 shares)", n)
 	}
 }
+
+// TestMonitorPeriodAllocationFree: in steady state, one evaluation period of
+// a started monitor (five samples and one evaluation that considers an
+// upgrade) allocates nothing when no Trace hook is installed.
+func TestMonitorPeriodAllocationFree(t *testing.T) {
+	a := newFakeApp("a", 3)
+	b := newFakeApp("b", 3)
+	k, _, em := rig(1, 100_000, 5.0, a, b)
+	em.SetGoal(2 * time.Hour)
+	em.Start()
+	// Warm up: the kernel's timer pool and timing-wheel slots grow on
+	// first use and are then retained.
+	k.Run(10 * time.Minute)
+	period := em.cfg.EvalPeriod
+	before := em.Upgrades() + em.Degrades()
+	if allocs := testing.AllocsPerRun(50, func() { k.Run(k.Now() + period) }); allocs != 0 {
+		t.Fatalf("one evaluation period made %v allocations", allocs)
+	}
+	if n := em.Upgrades() + em.Degrades(); n != before {
+		t.Fatalf("steady state directed %d adaptations", n-before)
+	}
+}

@@ -133,6 +133,11 @@ type EnergyMonitor struct {
 	evalEv   sim.Event
 	running  bool
 
+	// onSample and onEval are the monitor's kernel callbacks, bound once
+	// at construction so rescheduling them every period allocates nothing.
+	onSample func()
+	onEval   func()
+
 	// OnInfeasible, if set, is called once when the monitor concludes the
 	// goal cannot be met even at lowest fidelity.
 	OnInfeasible func()
@@ -167,13 +172,16 @@ func NewEnergyMonitorSource(v *Viceroy, src EnergySource, cfg EnergyConfig) *Ene
 		//odylint:allow panicfree constructor precondition; invariant guard
 		panic("core: energy monitor periods must be positive")
 	}
-	return &EnergyMonitor{
+	em := &EnergyMonitor{
 		v:               v,
 		src:             src,
 		cfg:             cfg,
 		lastUpgrade:     -1 << 60,
 		infeasibleSince: -1,
 	}
+	em.onSample = em.sampleTick
+	em.onEval = em.evalTick
+	return em
 }
 
 // SetGoal sets or revises the battery-duration goal as an absolute virtual
@@ -227,23 +235,27 @@ func (em *EnergyMonitor) PredictedDemand() float64 {
 }
 
 func (em *EnergyMonitor) scheduleSample() {
-	em.sampleEv = em.v.k.After(em.cfg.SamplePeriod, func() {
-		if !em.running {
-			return
-		}
-		em.takeSample()
-		em.scheduleSample()
-	})
+	em.sampleEv = em.v.k.After(em.cfg.SamplePeriod, em.onSample)
+}
+
+func (em *EnergyMonitor) sampleTick() {
+	if !em.running {
+		return
+	}
+	em.takeSample()
+	em.scheduleSample()
 }
 
 func (em *EnergyMonitor) scheduleEval() {
-	em.evalEv = em.v.k.After(em.cfg.EvalPeriod, func() {
-		if !em.running {
-			return
-		}
-		em.evaluate()
-		em.scheduleEval()
-	})
+	em.evalEv = em.v.k.After(em.cfg.EvalPeriod, em.onEval)
+}
+
+func (em *EnergyMonitor) evalTick() {
+	if !em.running {
+		return
+	}
+	em.evaluate()
+	em.scheduleEval()
 }
 
 // alpha computes the smoothing weight of the old estimate for the current

@@ -16,7 +16,9 @@ import "fmt"
 type Adaptive interface {
 	// Name identifies the application in traces and statistics.
 	Name() string
-	// Levels returns the ordered fidelity level names, lowest first.
+	// Levels returns the ordered fidelity level names, lowest first. The
+	// slice may be shared (across calls and across instances); callers
+	// must not modify it.
 	Levels() []string
 	// Level returns the current fidelity index.
 	Level() int
@@ -113,7 +115,8 @@ func (fs *FidelitySpace) Add(name string, coords ...int) int {
 	return len(fs.levels) - 1
 }
 
-// Levels returns the ordered level names.
+// Levels returns the ordered level names. The slice is the space's own;
+// callers must not modify it.
 func (fs *FidelitySpace) Levels() []string { return fs.levels }
 
 // Coord returns the value index of dimension dim at level lvl.

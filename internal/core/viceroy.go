@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"odyssey/internal/sim"
@@ -16,6 +18,7 @@ type Viceroy struct {
 	k *sim.Kernel
 
 	apps    []*Registration
+	prio    []*Registration // byPriority's scratch, reused across calls
 	wardens map[string]Warden
 
 	resources map[string]*resource
@@ -142,11 +145,17 @@ func (v *Viceroy) RegisterApp(app Adaptive, priority int) *Registration {
 func (v *Viceroy) Apps() []*Registration { return v.apps }
 
 // byPriority returns registrations sorted ascending by priority (ties in
-// registration order) — the degradation order.
+// registration order) — the degradation order. The slice is scratch owned
+// by the viceroy and overwritten by the next call, so a caller may read it
+// only until it delivers an upcall: an upcall can re-enter the viceroy
+// (the supervision plane's deliverer may quarantine the application and
+// reallocate its budget, which evaluates again). degradeOne, upgradeOne
+// and ReallocateBudget meet that by delivering at most one upcall and
+// never touching the slice after it.
 func (v *Viceroy) byPriority() []*Registration {
-	out := append([]*Registration(nil), v.apps...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Priority < out[j].Priority })
-	return out
+	v.prio = append(v.prio[:0], v.apps...)
+	slices.SortStableFunc(v.prio, func(a, b *Registration) int { return cmp.Compare(a.Priority, b.Priority) })
+	return v.prio
 }
 
 // DeclareResource creates a named resource with the given initial

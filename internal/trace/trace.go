@@ -5,7 +5,8 @@
 //
 // The log is bounded: once the capacity is reached the oldest events are
 // dropped (and counted), so long goal-directed runs cannot grow without
-// limit.
+// limit. Storage grows on demand up to that bound, so a short run pays only
+// for the events it records.
 package trace
 
 import (
@@ -54,26 +55,33 @@ type Log struct {
 }
 
 // NewLog creates a log reading timestamps from now, holding at most cap
-// events (cap <= 0 selects a generous default).
+// events (cap <= 0 selects a generous default). It reserves no event
+// storage: Add grows the backing array as events land, never beyond cap.
 func NewLog(now func() time.Duration, cap int) *Log {
 	if cap <= 0 {
 		cap = 1 << 16
 	}
-	// The full backing array is reserved up front (pages are only touched
-	// as events land), so Add never allocates on the kernel hot path.
-	return &Log{now: now, cap: cap, events: make([]Event, 0, cap)}
+	return &Log{now: now, cap: cap}
 }
 
 // Add records an event at the current virtual time.
 func (l *Log) Add(cat Category, subject, message string, value float64) {
 	if len(l.events) >= l.cap {
-		// Drop the oldest half to amortize copying.
-		n := l.cap / 2
+		// Drop the oldest half (at least one event) to amortize copying.
+		n := max(l.cap/2, 1)
 		copy(l.events, l.events[n:])
 		l.events = l.events[:len(l.events)-n]
 		l.dropped += n
 	}
-	// Re-extend into the preallocated array and write fields in place.
+	if len(l.events) == cap(l.events) {
+		// Double the backing array, clamped to the bound; once it holds
+		// cap events it is reused for the rest of the run.
+		//odylint:allow hotalloc log growth is amortized: capacity doubles up to the bound and is retained
+		grown := make([]Event, len(l.events), min(max(2*cap(l.events), 16), l.cap))
+		copy(grown, l.events)
+		l.events = grown
+	}
+	// Re-extend into the spare capacity and write fields in place.
 	i := len(l.events)
 	l.events = l.events[:i+1]
 	e := &l.events[i]

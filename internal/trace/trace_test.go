@@ -38,27 +38,30 @@ func TestAddAndFilter(t *testing.T) {
 	}
 }
 
+// TestBoundedDropsOldest: at every capacity, including those too small to
+// halve, the log stays within its bound, accounts for every event as
+// retained or dropped, keeps the newest, and preserves order.
 func TestBoundedDropsOldest(t *testing.T) {
 	now := time.Duration(0)
-	l := NewLog(fixedClock(&now), 8)
-	for i := 0; i < 20; i++ {
-		l.Add(CatOp, "app", "op", float64(i))
-	}
-	if l.Len() > 8 {
-		t.Fatalf("log grew to %d beyond cap", l.Len())
-	}
-	if l.Dropped() == 0 {
-		t.Fatal("no drops recorded")
-	}
-	evs := l.Events()
-	// The newest event must be retained.
-	if evs[len(evs)-1].Value != 19 {
-		t.Fatalf("newest retained value %v", evs[len(evs)-1].Value)
-	}
-	// Retained events stay in order.
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Value < evs[i-1].Value {
-			t.Fatal("events out of order after dropping")
+	for _, capacity := range []int{1, 2, 3, 8} {
+		l := NewLog(fixedClock(&now), capacity)
+		for adds := 1; adds <= 20; adds++ {
+			l.Add(CatOp, "app", "op", float64(adds))
+			if l.Len() > capacity {
+				t.Fatalf("cap %d after %d adds: len %d beyond cap", capacity, adds, l.Len())
+			}
+			if l.Len()+l.Dropped() != adds {
+				t.Fatalf("cap %d after %d adds: len %d + dropped %d", capacity, adds, l.Len(), l.Dropped())
+			}
+			evs := l.Events()
+			if evs[len(evs)-1].Value != float64(adds) {
+				t.Fatalf("cap %d after %d adds: newest retained value %v", capacity, adds, evs[len(evs)-1].Value)
+			}
+			for i := 1; i < len(evs); i++ {
+				if evs[i].Value != evs[i-1].Value+1 {
+					t.Fatalf("cap %d after %d adds: retained events %v not in order", capacity, adds, evs)
+				}
+			}
 		}
 	}
 }
@@ -103,5 +106,31 @@ func TestEventString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Fatalf("event string %q missing %q", s, want)
 		}
+	}
+}
+
+func TestNewLogReservesNothing(t *testing.T) {
+	now := func() time.Duration { return 0 }
+	var l *Log
+	if allocs := testing.AllocsPerRun(100, func() { l = NewLog(now, 0) }); allocs != 1 {
+		t.Fatalf("NewLog made %v allocations, want only the Log itself", allocs)
+	}
+	if cap(l.events) != 0 {
+		t.Fatalf("NewLog reserved %d events", cap(l.events))
+	}
+}
+
+func TestAddGrowsToBound(t *testing.T) {
+	now := time.Duration(0)
+	l := NewLog(fixedClock(&now), 100)
+	for i := 0; i < 250; i++ {
+		l.Add(CatOp, "app", "op", float64(i))
+		if cap(l.events) > 100 {
+			t.Fatalf("backing array grew to %d beyond the bound", cap(l.events))
+		}
+	}
+	// Once the backing array reaches the bound it is reused.
+	if allocs := testing.AllocsPerRun(100, func() { l.Add(CatOp, "app", "op", 0) }); allocs != 0 {
+		t.Fatalf("Add at the bound made %v allocations", allocs)
 	}
 }

@@ -7,8 +7,9 @@
 #
 # Gates, in order:
 #   1. go build ./...                      everything compiles
-#   2. go vet ./...                        stock static analysis
-#   3. odylint -json -baseline ./...       domain-specific invariants
+#   2. gofmt -l .                          every Go file is gofmt-clean
+#   3. go vet ./...                        stock static analysis
+#   4. odylint -json -baseline ./...       domain-specific invariants
 #                                          (determinism taint, map-iteration
 #                                          order, hot-path allocations, float
 #                                          equality, kernel handshake, panics,
@@ -17,39 +18,39 @@
 #                                          and on expired/stale entries, and
 #                                          warns on entries expiring within
 #                                          30 days; report: odylint-report.json
-#   4. go test ./...                       tier-1 tests
-#   5. go test -race ./...                 data-race gate over the full module
-#   6. go test -tags odysseydebug ...      energy-conservation runtime
+#   5. go test ./...                       tier-1 tests
+#   6. go test -race ./...                 data-race gate over the full module
+#   7. go test -tags odysseydebug ...      energy-conservation runtime
 #                                          assertions cross-checking the
 #                                          exact integrator
-#   7. go test -fuzz FuzzPathHandling      short fuzz budget over odfs path
+#   8. go test -fuzz FuzzPathHandling      short fuzz budget over odfs path
 #                                          handling (seed corpus + 5s)
-#   8. odyssey-sim -figure resilience      smoke: the fault-injection plane
+#   9. odyssey-sim -figure resilience      smoke: the fault-injection plane
 #                                          end to end on one trial
-#   9. supervision smoke (-race)           the application-supervision plane
+#  10. supervision smoke (-race)           the application-supervision plane
 #                                          end to end under the mid
 #                                          misbehavior ladder
-#  10. disarmed determinism gate           battery-goal with the supervisor
+#  11. disarmed determinism gate           battery-goal with the supervisor
 #                                          and offload plane disarmed must be
 #                                          byte-identical run to run and
 #                                          carry no trace of either plane
-#  11. offload smoke + armed determinism   the crash rung of the offload
+#  12. offload smoke + armed determinism   the crash rung of the offload
 #                                          ladder under the cost model must
 #                                          meet the goal with every stranded
 #                                          offload degraded to local, and an
 #                                          armed battery-goal run must be
 #                                          byte-identical at the same seed
-#  12. parallel/cache smoke                -parallel 4 under -race must be
+#  13. parallel/cache smoke                -parallel 4 under -race must be
 #                                          byte-identical to serial, and a
 #                                          warm-cache rerun must serve every
 #                                          cell from the cache
-#  13. chaos smoke + corpus replay         a bounded soak (fixed seed, 20
+#  14. chaos smoke + corpus replay         a bounded soak (fixed seed, 20
 #                                          scenarios) under -race must pass
 #                                          every invariant sentinel, and
 #                                          every previously-failing scenario
 #                                          in the regression corpus must
 #                                          replay clean
-#  14. containment smoke + resume replay   a -race soak over the containment
+#  15. containment smoke + resume replay   a -race soak over the containment
 #                                          corpus (planted process-panic and
 #                                          livelock scenarios among healthy
 #                                          ones) must finish, report exactly
@@ -57,17 +58,17 @@
 #                                          repros, and a journal truncated
 #                                          mid-run must -resume to a
 #                                          byte-identical report
-#  15. fleet smoke + determinism replay    a 600-session -race fleet soak
+#  16. fleet smoke + determinism replay    a 600-session -race fleet soak
 #                                          must produce a scorecard
 #                                          byte-identical to a serial
 #                                          replay of the same seed, and a
 #                                          shard journal truncated mid-run
 #                                          must -resume to the same bytes
-#  16. BENCH_kernel.json                   kernel performance artifact
+#  17. BENCH_kernel.json                   kernel performance artifact
 #                                          (ns/op, allocs/op, scenarios/sec)
 #                                          tracking ROADMAP item 2; schema in
 #                                          EXPERIMENTS.md
-#  17. benchgate                           perf-regression gate: fresh
+#  18. benchgate                           perf-regression gate: fresh
 #                                          artifact vs BENCH_baseline.json;
 #                                          >25% ns/op or allocs/op growth
 #                                          fails (ns/op gated only on a
@@ -78,6 +79,14 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "FAIL: files need gofmt:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
