@@ -11,14 +11,26 @@ import (
 
 	"odyssey/internal/experiment"
 	"odyssey/internal/faults"
+	"odyssey/internal/hw"
 )
 
 // TestScenarioJSONRoundTripAndID: a generated scenario survives the JSON
 // round trip exactly, and its content-addressed ID is stable across
-// encode/decode (same bytes, same address).
+// encode/decode (same bytes, same address). The last input is shaped like
+// a fleet session's spec, carrying a scaled hardware profile and a
+// composite period.
 func TestScenarioJSONRoundTripAndID(t *testing.T) {
+	var inputs []Scenario
 	for seed := int64(0); seed < 20; seed++ {
-		sc := Generate(seed)
+		inputs = append(inputs, Generate(seed))
+	}
+	fleetLike := Generate(20)
+	profile := hw.ThinkPad560X().Scaled(0.9137, 1.2871)
+	fleetLike.Profile = &profile
+	fleetLike.CompositePeriod = faults.Dur(27123 * time.Millisecond)
+	fleetLike.Offload = &OffloadSpec{Servers: 3, Contention: 0.4127, NoHedge: true}
+	inputs = append(inputs, fleetLike)
+	for i, sc := range inputs {
 		b, err := json.Marshal(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -28,10 +40,10 @@ func TestScenarioJSONRoundTripAndID(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, sc) {
-			t.Fatalf("seed %d: round trip diverged:\n got %+v\nwant %+v", seed, got, sc)
+			t.Fatalf("input %d: round trip diverged:\n got %+v\nwant %+v", i, got, sc)
 		}
 		if got.ID() != sc.ID() {
-			t.Fatalf("seed %d: ID changed across round trip: %s vs %s", seed, got.ID(), sc.ID())
+			t.Fatalf("input %d: ID changed across round trip: %s vs %s", i, got.ID(), sc.ID())
 		}
 	}
 }

@@ -245,8 +245,9 @@ func TestSoakJournalResumeByteIdentical(t *testing.T) {
 }
 
 // TestLoadCorpusSkipsMalformed: strays in the corpus dir — broken JSON,
-// some other tool's output, non-runnable scenarios — are warnings, not
-// load failures.
+// some other tool's output, a repro with a misspelt field, non-runnable
+// scenarios — are warnings, not load failures, and LoadScenario refuses
+// each of them on its own.
 func TestLoadCorpusSkipsMalformed(t *testing.T) {
 	dir := t.TempDir()
 	valid := Generate(9)
@@ -257,6 +258,8 @@ func TestLoadCorpusSkipsMalformed(t *testing.T) {
 		"broken.json":     `{not json`,
 		"foreign.json":    `{"widget": true, "count": 3}`,
 		"unrunnable.json": `{"seed": 1}`,
+		"misspelt.json":   `{"seed": 1, "goal": "2m0s", "initial_energy": 3000, "stall_bund": 50000}`,
+		"zerogoal.json":   `{"seed": 1, "goal": "0s", "initial_energy": 3000}`,
 		"notes.txt":       "scratch notes, not a scenario",
 	}
 	for name, body := range files {
@@ -274,8 +277,16 @@ func TestLoadCorpusSkipsMalformed(t *testing.T) {
 	if scs[0].ID() != valid.ID() {
 		t.Fatalf("loaded scenario %s, want %s", scs[0].ID(), valid.ID())
 	}
-	if len(warnings) != 3 {
-		t.Fatalf("%d warnings, want 3 (one per malformed .json):\n%s", len(warnings), strings.Join(warnings, "\n"))
+	if len(warnings) != 5 {
+		t.Fatalf("%d warnings, want 5 (one per malformed .json):\n%s", len(warnings), strings.Join(warnings, "\n"))
+	}
+	for name := range files {
+		if filepath.Ext(name) != ".json" {
+			continue
+		}
+		if _, err := LoadScenario(filepath.Join(dir, name)); err == nil {
+			t.Errorf("LoadScenario accepted %s", name)
+		}
 	}
 	for _, w := range warnings {
 		if !strings.HasPrefix(w, "skipping ") {

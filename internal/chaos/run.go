@@ -19,10 +19,10 @@ import (
 
 // Ledger is the post-run accounting snapshot the sentinels audit: the exact
 // energy integral, both attribution ledgers, and the budget-ledger audit
-// verdict, captured through GoalOptions.Observe while the rig is still
-// alive. It is a plain value so a test can corrupt a copy (via the
-// mutateLedger hook below) and prove the sentinels catch what the
-// simulation — which has no such bug — would never hand them.
+// verdict, captured by Execute while the rig is still alive. It is a plain
+// value so a test can corrupt a copy (via the mutateLedger hook below) and
+// prove the sentinels catch what the simulation — which has no such bug —
+// would never hand them.
 type Ledger struct {
 	Total       float64
 	ByComponent map[string]float64
@@ -55,14 +55,6 @@ type rigTargets struct {
 	rig  *env.Rig
 	bat  *smartbattery.Battery
 	apps *workload.Apps
-}
-
-// BindRig returns a faults.Targets binder over one live rig, its battery
-// (nil on a bench supply), and its application set (nil when only
-// network/server/battery injectors will be materialized). The fleet plane
-// uses it to materialize the PlanSpec mixes it borrows from this package.
-func BindRig(rig *env.Rig, bat *smartbattery.Battery, apps *workload.Apps) faults.Targets {
-	return &rigTargets{rig: rig, bat: bat, apps: apps}
 }
 
 func (t *rigTargets) Network() *netsim.Network { return t.rig.Net }
@@ -104,31 +96,93 @@ func (t *rigTargets) App(name string) (core.Adaptive, *supervise.AppHealth, bool
 	return app, health, true
 }
 
-// contained describes a fault the containment fence recovered during one
-// run: which sentinel it maps to (panic or stall) and the triage detail.
-type contained struct {
-	sentinel string
-	detail   string
+// Contained describes a fault the run fence recovered: the sentinel it
+// maps to (SentinelPanic or SentinelStall) and the triage detail.
+type Contained struct {
+	Sentinel string
+	Detail   string
 }
 
-// mutateOptions, when non-nil, rewrites the GoalOptions runOnce builds
-// before the run starts. It exists solely for containment self-tests that
-// plant panics in the observation path. Never set outside tests.
-var mutateOptions func(*experiment.GoalOptions)
+// Execution is one fenced run of a scenario: the goal result, the ledger
+// snapshot taken while the rig was still alive, and the fault the fence
+// recovered (nil for a run that finished). A contained run's result and
+// ledger are partial.
+type Execution struct {
+	Result    experiment.GoalResult
+	Ledger    Ledger
+	Contained *Contained
+}
 
-// sentinelHook, when non-nil, runs at the head of the sentinel audit. It
-// exists solely for containment self-tests that plant a panic inside the
-// audit itself. Never set outside tests.
-var sentinelHook func(sc Scenario)
-
-// runGoalContained is the panic fence around one simulated session. Any
-// panic unwinding RunGoal — a process fault transported by the kernel
+// Execute runs the scenario once through the goal-directed experiment on a
+// fresh rig. It is the one place the chaos and fleet planes turn a run spec
+// into GoalOptions: it materializes the fault and misbehavior plans against
+// the live rig, captures the ledger, and fences the run. Any panic
+// unwinding RunGoal — a process fault transported by the kernel
 // (sim.ProcPanic), a kernel-context panic from an injector or callback, or
-// the stall detector's sim.ErrStall — is recovered here and handed back as
-// a contained fault for the sentinel report, instead of killing the whole
-// soak. The rig's goroutines are already torn down when the fence fires:
-// RunGoal defers Kernel.Shutdown.
-func runGoalContained(opt experiment.GoalOptions) (res experiment.GoalResult, cv *contained) {
+// the stall detector's sim.ErrStall — comes back as Execution.Contained
+// instead of killing the soak or fleet. The rig's goroutines are already
+// torn down when the fence fires: RunGoal defers Kernel.Shutdown.
+// recordEvents attaches the trace log the sentinels audit. The error is
+// reserved for a plan that fails to materialize (unknown target, missing
+// battery): a spec error, not a run outcome.
+func Execute(sc Scenario, recordEvents bool) (Execution, error) {
+	var ex Execution
+	var buildErr error
+	plan := func(spec *faults.PlanSpec, k *sim.Kernel, t *rigTargets) *faults.Plan {
+		pl, err := spec.Plan(k, t)
+		if err != nil {
+			buildErr = err
+			return nil
+		}
+		return pl
+	}
+	opt := experiment.GoalOptions{
+		Seed:            sc.Seed,
+		InitialEnergy:   sc.InitialEnergy,
+		Goal:            time.Duration(sc.Goal),
+		Bursty:          sc.Bursty,
+		SmartBattery:    sc.SmartBattery,
+		Peukert:         sc.Peukert,
+		Supervise:       sc.Supervise,
+		Apps:            sc.AppsOrAll(),
+		Profile:         sc.Profile,
+		CompositePeriod: time.Duration(sc.CompositePeriod),
+		StallBound:      sc.StallBound,
+		RecordEvents:    recordEvents,
+		Observe: func(rig *env.Rig, em *core.EnergyMonitor) {
+			led := &ex.Ledger
+			led.Total = rig.M.Acct.TotalEnergy()
+			led.ByComponent = rig.M.Acct.EnergyByComponent()
+			led.ByPrincipal = rig.M.Acct.EnergyByPrincipal()
+			led.Elapsed = rig.K.Now()
+			led.BudgetErr = em.AuditBudgetShares()
+			if mutateLedger != nil {
+				mutateLedger(led)
+			}
+		},
+	}
+	if o := sc.Offload; o != nil {
+		opt.Offload = &experiment.OffloadConfig{Servers: o.Servers, Contention: o.Contention, NoHedge: o.NoHedge, Policy: o.Policy}
+	}
+	if sc.Faults != nil {
+		opt.Faults = func(rig *env.Rig, bat *smartbattery.Battery, _ int64) *faults.Plan {
+			return plan(sc.Faults, rig.K, &rigTargets{rig: rig, bat: bat})
+		}
+	}
+	if sc.Misbehave != nil {
+		opt.Misbehave = func(apps *workload.Apps, _ int64) *faults.Plan {
+			return plan(sc.Misbehave, apps.Rig.K, &rigTargets{rig: apps.Rig, apps: apps})
+		}
+	}
+	ex.Result, ex.Contained = runFenced(opt)
+	if buildErr != nil {
+		return ex, fmt.Errorf("chaos: scenario %s: %w", sc.ID(), buildErr)
+	}
+	return ex, nil
+}
+
+// runFenced is Execute's panic fence around RunGoal.
+func runFenced(opt experiment.GoalOptions) (res experiment.GoalResult, cv *Contained) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -136,89 +190,16 @@ func runGoalContained(opt experiment.GoalOptions) (res experiment.GoalResult, cv
 		}
 		switch f := r.(type) {
 		case *sim.ErrStall:
-			cv = &contained{sentinel: SentinelStall, detail: f.Error()}
+			cv = &Contained{Sentinel: SentinelStall, Detail: f.Error()}
 		case *sim.ProcPanic:
-			cv = &contained{sentinel: SentinelPanic, detail: fmt.Sprintf("%v\n%s", f.Error(), f.Stack)}
+			cv = &Contained{Sentinel: SentinelPanic, Detail: fmt.Sprintf("%v\n%s", f.Error(), f.Stack)}
 		default:
 			// Kernel-context panic: the stack below this recover still
 			// holds the crash site's frames, so capture it here.
-			cv = &contained{sentinel: SentinelPanic, detail: fmt.Sprintf("kernel-context panic: %v\n%s", r, sim.CallerStack(1))}
+			cv = &Contained{Sentinel: SentinelPanic, Detail: fmt.Sprintf("kernel-context panic: %v\n%s", r, sim.CallerStack(1))}
 		}
 	}()
 	return experiment.RunGoal(opt), nil
-}
-
-// runOnce executes the scenario once and captures everything the sentinels
-// need: the goal result, the ledger snapshot, and a determinism
-// fingerprint. A plan that fails to materialize (unknown target, missing
-// battery) is a scenario error, not a sentinel violation; a panic or stall
-// is returned as a contained fault.
-func runOnce(sc Scenario) (experiment.GoalResult, Ledger, string, *contained, error) {
-	var led Ledger
-	var buildErr error
-	opt := experiment.GoalOptions{
-		Seed:          sc.Seed,
-		InitialEnergy: sc.InitialEnergy,
-		Goal:          time.Duration(sc.Goal),
-		Bursty:        sc.Bursty,
-		SmartBattery:  sc.SmartBattery,
-		Peukert:       sc.Peukert,
-		Supervise:     sc.Supervise,
-		Apps:          sc.AppsOrAll(),
-		StallBound:    sc.StallBound,
-		RecordEvents:  true,
-		Observe: func(rig *env.Rig, em *core.EnergyMonitor) {
-			led.Total = rig.M.Acct.TotalEnergy()
-			led.ByComponent = rig.M.Acct.EnergyByComponent()
-			led.ByPrincipal = rig.M.Acct.EnergyByPrincipal()
-			led.Elapsed = rig.K.Now()
-			led.BudgetErr = em.AuditBudgetShares()
-			if mutateLedger != nil {
-				mutateLedger(&led)
-			}
-		},
-	}
-	if sc.Offload != nil {
-		opt.Offload = &experiment.OffloadConfig{
-			Servers:    sc.Offload.Servers,
-			Contention: sc.Offload.Contention,
-			NoHedge:    sc.Offload.NoHedge,
-			Policy:     sc.Offload.Policy,
-		}
-	}
-	if sc.Faults != nil {
-		spec := *sc.Faults
-		opt.Faults = func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
-			pl, err := spec.Plan(rig.K, &rigTargets{rig: rig, bat: bat})
-			if err != nil {
-				buildErr = err
-				return nil
-			}
-			return pl
-		}
-	}
-	if sc.Misbehave != nil {
-		spec := *sc.Misbehave
-		opt.Misbehave = func(apps *workload.Apps, seed int64) *faults.Plan {
-			pl, err := spec.Plan(apps.Rig.K, &rigTargets{rig: apps.Rig, apps: apps})
-			if err != nil {
-				buildErr = err
-				return nil
-			}
-			return pl
-		}
-	}
-	if mutateOptions != nil {
-		mutateOptions(&opt)
-	}
-	res, cv := runGoalContained(opt)
-	if buildErr != nil {
-		return res, led, "", nil, fmt.Errorf("chaos: scenario %s: %w", sc.ID(), buildErr)
-	}
-	if cv != nil {
-		return res, led, "", cv, nil
-	}
-	return res, led, fingerprint(res), nil, nil
 }
 
 // fingerprint renders everything observable about a run into one string:
@@ -274,6 +255,11 @@ func firstDiff(a, b string) string {
 	return fmt.Sprintf("length mismatch: %d vs %d bytes", len(a), len(b))
 }
 
+// sentinelHook, when non-nil, runs at the head of the sentinel audit. It
+// exists solely for containment self-tests that plant a panic inside the
+// audit itself. Never set outside tests.
+var sentinelHook func(sc Scenario)
+
 // auditContained is the panic fence around the sentinel audit itself: a
 // crashing sentinel becomes a panic violation in the report it was
 // producing, so a bug in the audit code is triaged like any other crash
@@ -298,36 +284,36 @@ func auditContained(sc Scenario, res experiment.GoalResult, led Ledger) (rep Rep
 // stalls, are in the Report.
 func Run(sc Scenario) (*Outcome, error) {
 	sc = sc.normalize()
-	res, led, fp1, cv, err := runOnce(sc)
+	ex, err := Execute(sc, true)
 	if err != nil {
 		return nil, err
 	}
-	out := &Outcome{Scenario: sc, Result: res, Ledger: led}
-	if cv != nil {
+	out := &Outcome{Scenario: sc, Result: ex.Result, Ledger: ex.Ledger}
+	if cv := ex.Contained; cv != nil {
 		// The run died mid-flight: its result and ledger are partial, so
 		// neither the post-run audit nor the determinism double-run apply.
 		// The contained fault is the report.
 		out.Report = Report{ScenarioID: sc.ID()}
-		out.Report.add(cv.sentinel, cv.detail)
+		out.Report.add(cv.Sentinel, cv.Detail)
 		return out, nil
 	}
-	out.Report = auditContained(sc, res, led)
+	out.Report = auditContained(sc, ex.Result, ex.Ledger)
 	if out.Report.Has(SentinelPanic) {
 		// The audit itself crashed; a second run would audit nothing new.
 		return out, nil
 	}
 
-	_, _, fp2, cv2, err := runOnce(sc)
+	ex2, err := Execute(sc, true)
 	if err != nil {
 		return nil, err
 	}
-	if cv2 != nil {
+	if ex2.Contained != nil {
 		// First run clean, second crashed: that is itself a determinism
 		// violation, with the crash as the diverging observation.
-		out.Report.add(SentinelDeterminism, "second run did not complete: "+cv2.detail)
+		out.Report.add(SentinelDeterminism, "second run did not complete: "+ex2.Contained.Detail)
 		return out, nil
 	}
-	if fp1 != fp2 {
+	if fp1, fp2 := fingerprint(ex.Result), fingerprint(ex2.Result); fp1 != fp2 {
 		out.Report.add(SentinelDeterminism, firstDiff(fp1, fp2))
 	}
 	return out, nil

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"odyssey/internal/faults"
+	"odyssey/internal/hw"
 )
 
 // Scenario is one serializable chaos trial: everything RunGoal needs to
@@ -61,6 +62,14 @@ type Scenario struct {
 	// bound so replaying and shrinking them is fast; the generator never
 	// sets it. Omitted when zero, so pre-existing corpus ids are unchanged.
 	StallBound int `json:"stall_bound,omitempty"`
+	// Profile selects a hardware power profile other than the reference
+	// ThinkPad 560X, and CompositePeriod overrides how often a composite
+	// iteration starts (0 = the paper's 25 s). The fleet plane sets both
+	// for its device-class and workload-intensity variants; the generator
+	// sets neither. Omitted when unset, so pre-existing corpus ids are
+	// unchanged.
+	Profile         *hw.Profile `json:"profile,omitempty"`
+	CompositePeriod faults.Dur  `json:"composite_period,omitempty"`
 }
 
 // OffloadSpec is the scenario's offload-plane arming: pool size, the
@@ -181,15 +190,24 @@ func (sc Scenario) Save(dir string) (string, error) {
 	return path, nil
 }
 
-// LoadScenario reads one scenario file.
+// LoadScenario reads one scenario file, rejecting JSON that is not a
+// runnable scenario: unknown fields (a misspelt field or some other tool's
+// output, which would otherwise replay a different trial than the file
+// describes) and decoded values that cannot run at all (zero goal or
+// supply).
 func LoadScenario(path string) (Scenario, error) {
 	var sc Scenario
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return sc, err
 	}
-	if err := json.Unmarshal(b, &sc); err != nil {
-		return sc, fmt.Errorf("chaos: %s: %w", path, err)
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return sc, fmt.Errorf("chaos: %s: not a scenario: %w", path, err)
+	}
+	if sc.Goal <= 0 || sc.InitialEnergy <= 0 {
+		return sc, fmt.Errorf("chaos: %s: not a runnable scenario: goal=%v energy=%v", path, time.Duration(sc.Goal), sc.InitialEnergy)
 	}
 	return sc, nil
 }
@@ -221,35 +239,15 @@ func LoadCorpus(dir string) (scs []Scenario, paths, warnings []string, err error
 	sort.Strings(names)
 	for _, n := range names {
 		p := filepath.Join(dir, n)
-		sc, err := loadScenarioStrict(p)
+		sc, err := LoadScenario(p)
 		if err != nil {
-			warnings = append(warnings, fmt.Sprintf("skipping %s: %v", p, err))
+			warnings = append(warnings, fmt.Sprintf("skipping %v", err))
 			continue
 		}
 		scs = append(scs, sc)
 		paths = append(paths, p)
 	}
 	return scs, paths, warnings, nil
-}
-
-// loadScenarioStrict decodes one corpus file, rejecting JSON that is not a
-// scenario: unknown fields (some other tool's output saved as .json) and
-// decoded values that cannot run at all (zero goal or supply).
-func loadScenarioStrict(path string) (Scenario, error) {
-	var sc Scenario
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return sc, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
-		return sc, fmt.Errorf("not a scenario: %w", err)
-	}
-	if sc.Goal <= 0 || sc.InitialEnergy <= 0 {
-		return sc, fmt.Errorf("not a runnable scenario: goal=%v energy=%v", time.Duration(sc.Goal), sc.InitialEnergy)
-	}
-	return sc, nil
 }
 
 // ReproCommand returns the one-line command that replays a saved scenario

@@ -9,11 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"odyssey/internal/app/env"
 	"odyssey/internal/chaos"
 	"odyssey/internal/experiment"
 	"odyssey/internal/faults"
-	"odyssey/internal/smartbattery"
 )
 
 // TestSketchJSONRoundTrip: the sparse wire form reproduces the sketch
@@ -86,36 +84,31 @@ func TestAggregateJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// plantFault returns a GoalOptions fault binder materializing one planted
-// injector of the given kind.
-func plantFault(kind string, delay time.Duration) func(*env.Rig, *smartbattery.Battery, int64) *faults.Plan {
-	spec := faults.PlanSpec{
+// plantedFaults is a fault plan of one planted containment injector of
+// the given kind, firing at 1s of virtual time.
+func plantedFaults(kind string) *faults.PlanSpec {
+	return &faults.PlanSpec{
 		Name: "planted", Seed: 1,
-		Injectors: []faults.InjectorSpec{{Kind: kind, MeanUp: faults.Dur(delay)}},
-	}
-	return func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
-		pl, err := spec.Plan(rig.K, chaos.BindRig(rig, bat, nil))
-		if err != nil {
-			panic(err)
-		}
-		return pl
+		Injectors: []faults.InjectorSpec{{Kind: kind, MeanUp: faults.Dur(time.Second)}},
 	}
 }
 
 // TestFleetContainsPanicsAndStalls: one session panics in a process, one
 // livelocks; the fleet run completes, counts both under the containment
-// counters, and keeps their partial metrics out of the reduction.
+// counters, and keeps their partial metrics out of the reduction. The
+// panicking session's Spec, replayed through chaos.Run, reports the same
+// panic sentinel: a fleet anomaly is a chaos repro.
 func TestFleetContainsPanicsAndStalls(t *testing.T) {
-	mutateGoalOptions = func(i int, opt *experiment.GoalOptions) {
+	mutateSpec = func(i int, sc *chaos.Scenario) {
 		switch i {
 		case 1:
-			opt.Faults = plantFault(faults.KindTestProcPanic, time.Second)
+			sc.Faults = plantedFaults(faults.KindTestProcPanic)
 		case 2:
-			opt.Faults = plantFault(faults.KindTestLivelock, time.Second)
-			opt.StallBound = 50_000
+			sc.Faults = plantedFaults(faults.KindTestLivelock)
+			sc.StallBound = 50_000
 		}
 	}
-	defer func() { mutateGoalOptions = nil }()
+	defer func() { mutateSpec = nil }()
 
 	var progress strings.Builder
 	res, err := Run(RunOptions{
@@ -146,6 +139,16 @@ func TestFleetContainsPanicsAndStalls(t *testing.T) {
 	card := res.ScorecardString(false)
 	if !strings.Contains(card, "contained: panics=1 stalls=1") {
 		t.Errorf("scorecard missing containment line:\n%s", card)
+	}
+
+	sc := DefaultPopulation().Session(11, 1).Spec()
+	mutateSpec(1, &sc)
+	out, err := chaos.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Report.First() != chaos.SentinelPanic || !strings.Contains(out.Report.String(), "planted test-proc-panic fired") {
+		t.Errorf("fleet anomaly did not replay as the planted panic:\n%s", out.Report.String())
 	}
 }
 

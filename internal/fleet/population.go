@@ -154,8 +154,8 @@ func DefaultPopulation() Population {
 	}
 }
 
-// Session is one device-session, fully derived: everything the runner
-// needs to execute it through experiment.RunGoal.
+// Session is one device-session, fully derived: the run itself (see Spec)
+// plus the class, behavior and start offset the aggregate groups by.
 type Session struct {
 	Index    int
 	Seed     int64
@@ -175,11 +175,29 @@ type Session struct {
 
 	Faults    *faults.PlanSpec
 	Misbehave *faults.PlanSpec
+	Offload   *chaos.OffloadSpec // nil = disarmed, legacy paths
+}
 
-	// Offload plane (zero OffloadServers = disarmed, legacy paths).
-	OffloadServers    int
-	OffloadContention float64
-	OffloadNoHedge    bool
+// Spec returns the session's run as a chaos scenario: a plain data copy,
+// so a fleet session replays (and shrinks) through the chaos plane like
+// any generated scenario.
+func (s Session) Spec() chaos.Scenario {
+	profile := s.Profile
+	return chaos.Scenario{
+		Seed:            s.Seed,
+		Goal:            faults.Dur(s.Goal),
+		InitialEnergy:   s.InitialEnergy,
+		Apps:            s.Apps,
+		Bursty:          s.Bursty,
+		SmartBattery:    s.SmartBattery,
+		Peukert:         s.Peukert,
+		Supervise:       s.Supervise,
+		Faults:          s.Faults,
+		Misbehave:       s.Misbehave,
+		Offload:         s.Offload,
+		Profile:         &profile,
+		CompositePeriod: faults.Dur(s.CompositePeriod),
+	}
 }
 
 // mix64 combines the fleet seed and a session index into an independent
@@ -296,9 +314,7 @@ func (p Population) Session(fleetSeed int64, i int) Session {
 	contention := 0.8 * rng.Float64()
 	noHedge := rng.Float64() < 0.25
 	if armed {
-		sess.OffloadServers = servers
-		sess.OffloadContention = contention
-		sess.OffloadNoHedge = noHedge
+		sess.Offload = &chaos.OffloadSpec{Servers: servers, Contention: contention, NoHedge: noHedge}
 	}
 	return sess
 }

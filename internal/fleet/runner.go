@@ -5,13 +5,8 @@ import (
 	"io"
 	"sort"
 
-	"odyssey/internal/app/env"
 	"odyssey/internal/chaos"
-	"odyssey/internal/core"
 	"odyssey/internal/experiment"
-	"odyssey/internal/faults"
-	"odyssey/internal/sim"
-	"odyssey/internal/smartbattery"
 	"odyssey/internal/workload"
 )
 
@@ -176,118 +171,42 @@ func Run(opts RunOptions) (*Result, error) {
 	return res, nil
 }
 
-// mutateGoalOptions, when non-nil, rewrites session index i's GoalOptions
-// before the run starts. It exists solely for containment self-tests that
-// plant crashing or livelocking injectors into an otherwise healthy fleet.
+// mutateSpec, when non-nil, rewrites session index i's run spec before
+// the run starts. It exists solely for containment self-tests that plant
+// crashing or livelocking injectors into an otherwise healthy fleet.
 // Never set outside tests.
-var mutateGoalOptions func(i int, opt *experiment.GoalOptions)
+var mutateSpec func(i int, sc *chaos.Scenario)
 
-// containedFault is a panic or stall the session fence recovered: the
-// sentinel name it maps to and the triage detail.
-type containedFault struct {
-	sentinel string
-	detail   string
-}
-
-// runGoalFenced is the fleet's panic fence around one device session. Any
-// panic unwinding RunGoal — a process fault transported by the kernel
-// (sim.ProcPanic), a kernel-context panic, or the stall detector's
-// sim.ErrStall — is recovered here and handed back as a contained fault
-// for the aggregate, instead of killing the whole fleet run. The rig's
-// goroutines are already torn down when the fence fires: RunGoal defers
-// Kernel.Shutdown.
-func runGoalFenced(opt experiment.GoalOptions) (res experiment.GoalResult, cv *containedFault) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		switch f := r.(type) {
-		case *sim.ErrStall:
-			cv = &containedFault{sentinel: chaos.SentinelStall, detail: f.Error()}
-		case *sim.ProcPanic:
-			cv = &containedFault{sentinel: chaos.SentinelPanic, detail: fmt.Sprintf("%v\n%s", f.Error(), f.Stack)}
-		default:
-			cv = &containedFault{sentinel: chaos.SentinelPanic, detail: fmt.Sprintf("kernel-context panic: %v\n%s", r, sim.CallerStack(1))}
-		}
-	}()
-	return experiment.RunGoal(opt), nil
-}
-
-// runSession executes one derived session through the goal-directed
-// experiment on a private rig and extracts the mergeable outcome.
+// runSession executes one derived session through chaos.Execute on a
+// private rig and extracts the mergeable outcome.
 func runSession(index int, sess Session) (sessionOutcome, error) {
 	var out sessionOutcome
-	var buildErr error
-	profile := sess.Profile
-	opt := experiment.GoalOptions{
-		Seed:            sess.Seed,
-		InitialEnergy:   sess.InitialEnergy,
-		Goal:            sess.Goal,
-		Bursty:          sess.Bursty,
-		SmartBattery:    sess.SmartBattery,
-		Peukert:         sess.Peukert,
-		Supervise:       sess.Supervise,
-		Apps:            sess.Apps,
-		Profile:         &profile,
-		CompositePeriod: sess.CompositePeriod,
-		Observe: func(rig *env.Rig, em *core.EnergyMonitor) {
-			out.Drained = rig.M.Acct.TotalEnergy()
-			by := rig.M.Acct.EnergyByPrincipal()
-			names := make([]string, 0, len(by))
-			for name := range by {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			out.Principals = names
-			out.PrincipalJ = make([]float64, len(names))
-			for pi, name := range names {
-				out.PrincipalJ[pi] = by[name]
-			}
-		},
+	sc := sess.Spec()
+	if mutateSpec != nil {
+		mutateSpec(index, &sc)
 	}
-	if sess.OffloadServers > 0 {
-		opt.Offload = &experiment.OffloadConfig{
-			Servers:    sess.OffloadServers,
-			Contention: sess.OffloadContention,
-			NoHedge:    sess.OffloadNoHedge,
-		}
+	ex, err := chaos.Execute(sc, false)
+	if err != nil {
+		return out, err
 	}
-	if sess.Faults != nil {
-		spec := *sess.Faults
-		opt.Faults = func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
-			pl, err := spec.Plan(rig.K, chaos.BindRig(rig, bat, nil))
-			if err != nil {
-				buildErr = err
-				return nil
-			}
-			return pl
-		}
-	}
-	if sess.Misbehave != nil {
-		spec := *sess.Misbehave
-		opt.Misbehave = func(apps *workload.Apps, seed int64) *faults.Plan {
-			pl, err := spec.Plan(apps.Rig.K, chaos.BindRig(apps.Rig, nil, apps))
-			if err != nil {
-				buildErr = err
-				return nil
-			}
-			return pl
-		}
-	}
-	if mutateGoalOptions != nil {
-		mutateGoalOptions(index, &opt)
-	}
-	res, cv := runGoalFenced(opt)
-	if buildErr != nil {
-		return out, buildErr
-	}
-	if cv != nil {
+	if cv := ex.Contained; cv != nil {
 		// The session died mid-flight: its metrics are partial, so the
 		// aggregate folds only the containment counters for it.
-		out.Contained, out.Detail = cv.sentinel, cv.detail
+		out.Contained, out.Detail = cv.Sentinel, cv.Detail
 		return out, nil
 	}
+	res, by := ex.Result, ex.Ledger.ByPrincipal
+	names := make([]string, 0, len(by))
+	for name := range by {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	out.Principals = names
+	out.PrincipalJ = make([]float64, len(names))
+	for pi, name := range names {
+		out.PrincipalJ[pi] = by[name]
+	}
+	out.Drained = ex.Ledger.Total
 	out.Met = res.Met
 	out.Residual = res.Residual
 	out.RetryJ = res.RetryEnergy

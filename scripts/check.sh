@@ -19,38 +19,41 @@
 #                                          warns on entries expiring within
 #                                          30 days; report: odylint-report.json
 #   5. go test ./...                       tier-1 tests
-#   6. go test -race ./...                 data-race gate over the full module
-#   7. go test -tags odysseydebug ...      energy-conservation runtime
+#   6. perfbench go vet + go test         the nested benchmark module, which
+#                                          go build ./... never compiles, still
+#                                          builds and passes against the tree
+#   7. go test -race ./...                 data-race gate over the full module
+#   8. go test -tags odysseydebug ...      energy-conservation runtime
 #                                          assertions cross-checking the
 #                                          exact integrator
-#   8. go test -fuzz FuzzPathHandling      short fuzz budget over odfs path
+#   9. go test -fuzz FuzzPathHandling      short fuzz budget over odfs path
 #                                          handling (seed corpus + 5s)
-#   9. odyssey-sim -figure resilience      smoke: the fault-injection plane
+#  10. odyssey-sim -figure resilience      smoke: the fault-injection plane
 #                                          end to end on one trial
-#  10. supervision smoke (-race)           the application-supervision plane
+#  11. supervision smoke (-race)           the application-supervision plane
 #                                          end to end under the mid
 #                                          misbehavior ladder
-#  11. disarmed determinism gate           battery-goal with the supervisor
+#  12. disarmed determinism gate           battery-goal with the supervisor
 #                                          and offload plane disarmed must be
 #                                          byte-identical run to run and
 #                                          carry no trace of either plane
-#  12. offload smoke + armed determinism   the crash rung of the offload
+#  13. offload smoke + armed determinism   the crash rung of the offload
 #                                          ladder under the cost model must
 #                                          meet the goal with every stranded
 #                                          offload degraded to local, and an
 #                                          armed battery-goal run must be
 #                                          byte-identical at the same seed
-#  13. parallel/cache smoke                -parallel 4 under -race must be
+#  14. parallel/cache smoke                -parallel 4 under -race must be
 #                                          byte-identical to serial, and a
 #                                          warm-cache rerun must serve every
 #                                          cell from the cache
-#  14. chaos smoke + corpus replay         a bounded soak (fixed seed, 20
+#  15. chaos smoke + corpus replay         a bounded soak (fixed seed, 20
 #                                          scenarios) under -race must pass
 #                                          every invariant sentinel, and
 #                                          every previously-failing scenario
 #                                          in the regression corpus must
 #                                          replay clean
-#  15. containment smoke + resume replay   a -race soak over the containment
+#  16. containment smoke + resume replay   a -race soak over the containment
 #                                          corpus (planted process-panic and
 #                                          livelock scenarios among healthy
 #                                          ones) must finish, report exactly
@@ -58,17 +61,17 @@
 #                                          repros, and a journal truncated
 #                                          mid-run must -resume to a
 #                                          byte-identical report
-#  16. fleet smoke + determinism replay    a 600-session -race fleet soak
+#  17. fleet smoke + determinism replay    a 600-session -race fleet soak
 #                                          must produce a scorecard
 #                                          byte-identical to a serial
 #                                          replay of the same seed, and a
 #                                          shard journal truncated mid-run
 #                                          must -resume to the same bytes
-#  17. BENCH_kernel.json                   kernel performance artifact
+#  18. BENCH_kernel.json                   kernel performance artifact
 #                                          (ns/op, allocs/op, scenarios/sec)
 #                                          tracking ROADMAP item 2; schema in
 #                                          EXPERIMENTS.md
-#  18. benchgate                           perf-regression gate: fresh
+#  19. benchgate                           perf-regression gate: fresh
 #                                          artifact vs BENCH_baseline.json;
 #                                          >25% ns/op or allocs/op growth
 #                                          fails (ns/op gated only on a
@@ -99,6 +102,9 @@ go run ./cmd/odylint -json -baseline odylint.baseline -expiry-warn 30 ./... > od
 
 echo "==> go test ./..."
 go test ./...
+
+echo "==> perfbench: go vet + go test (nested module)"
+(cd perfbench && go vet ./... && go test ./...)
 
 if [ "${1:-}" != "fast" ]; then
     echo "==> go test -race ./..."
