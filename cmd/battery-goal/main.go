@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"odyssey/internal/experiment"
+	"odyssey/internal/faults"
 	"odyssey/internal/textplot"
 	"odyssey/internal/trace"
 )
@@ -44,15 +45,15 @@ func main() {
 	flag.Parse()
 	experiment.SetParallelism(*parallel)
 
-	planBuilder, ok := experiment.ResiliencePlanByName(*faultsArg)
+	faultPlan, ok := experiment.ResiliencePlanByName(*faultsArg, *seed)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown fault severity %q; known: %s\n",
 			*faultsArg, strings.Join(experiment.ResilienceSeverities, " "))
 		os.Exit(2)
 	}
-	var misBuilder experiment.MisbehaveBuilder
+	var misPlan *faults.PlanSpec
 	if *misbehaveArg != "" {
-		misBuilder, ok = experiment.MisbehavePlanByName(*misbehaveArg)
+		misPlan, ok = experiment.MisbehavePlanByName(*misbehaveArg, *seed)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown misbehavior severity %q; known: %s\n",
 				*misbehaveArg, strings.Join(experiment.MisbehaveSeverities, " "))
@@ -96,9 +97,9 @@ func main() {
 		Goal:          *goal,
 		Bursty:        *bursty,
 		RecordTrace:   true,
-		Faults:        planBuilder,
+		Faults:        faultPlan,
 		Supervise:     *misbehaveArg != "",
-		Misbehave:     misBuilder,
+		Misbehave:     misPlan,
 		Offload:       offloadCfg,
 		RecordEvents:  true,
 	})

@@ -210,7 +210,7 @@ func run(id string, trials int, breakdown bool) {
 		render(experiment.ResilienceTable(experiment.FigureResilience(min(trials, 3))))
 	case "supervision":
 		if misbehave != "" {
-			if _, ok := experiment.MisbehavePlanByName(misbehave); !ok {
+			if _, ok := experiment.MisbehavePlanByName(misbehave, 0); !ok {
 				fmt.Fprintf(os.Stderr, "unknown misbehavior severity %q; known: %s\n",
 					misbehave, strings.Join(experiment.MisbehaveSeverities, " "))
 				os.Exit(2)

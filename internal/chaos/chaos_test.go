@@ -208,17 +208,45 @@ func TestShrinkerDropsOffloadWithPoolInjectors(t *testing.T) {
 // TestRunErrorsOnMalformedSpec: a scenario whose plan names an absent
 // target is a run error, not a crash and not a silent pass.
 func TestRunErrorsOnMalformedSpec(t *testing.T) {
-	sc := Generate(4)
-	sc.Misbehave = planSpecAimedAt("no-such-app")
-	if _, err := Run(sc); err == nil {
-		t.Fatal("scenario with an unresolvable target ran without error")
+	batteryDropout := &faults.PlanSpec{
+		Name: "test-faults",
+		Seed: 1,
+		Injectors: []faults.InjectorSpec{
+			{Kind: faults.KindBatteryDropout, MeanUp: faults.Dur(time.Minute), MeanDown: faults.Dur(time.Second)},
+		},
 	}
-	// Misbehavior aimed at a disabled application must also fail loudly.
-	sc2 := Generate(4)
-	sc2.Apps = []string{"video"}
-	sc2.Misbehave = planSpecAimedAt("web")
-	if _, err := Run(sc2); err == nil {
-		t.Fatal("misbehavior aimed at a disabled app ran without error")
+	cases := []struct {
+		name   string
+		mutate func(sc *Scenario)
+	}{
+		{"unresolvable target", func(sc *Scenario) { sc.Misbehave = planSpecAimedAt("no-such-app") }},
+		// Misbehavior aimed at a disabled application must also fail loudly.
+		{"disabled app", func(sc *Scenario) {
+			sc.Apps = []string{"video"}
+			sc.Misbehave = planSpecAimedAt("web")
+		}},
+		// The fault plan binds no applications, so an app injector there
+		// names a missing target even when the app runs.
+		{"app crash in faults", func(sc *Scenario) {
+			sc.Apps = []string{"video"}
+			sc.Faults = planSpecAimedAt("video")
+		}},
+		{"battery dropout without SmartBattery", func(sc *Scenario) {
+			sc.SmartBattery = false
+			sc.Faults = batteryDropout
+		}},
+	}
+	for _, c := range cases {
+		sc := Generate(4)
+		c.mutate(&sc)
+		_, err := Run(sc)
+		if err == nil {
+			t.Errorf("%s: scenario ran without error", c.name)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), "chaos: scenario ") {
+			t.Errorf("%s: error %q lacks the scenario prefix", c.name, err)
+		}
 	}
 }
 

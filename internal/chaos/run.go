@@ -9,12 +9,7 @@ import (
 	"odyssey/internal/app/env"
 	"odyssey/internal/core"
 	"odyssey/internal/experiment"
-	"odyssey/internal/faults"
-	"odyssey/internal/netsim"
 	"odyssey/internal/sim"
-	"odyssey/internal/smartbattery"
-	"odyssey/internal/supervise"
-	"odyssey/internal/workload"
 )
 
 // Ledger is the post-run accounting snapshot the sentinels audit: the exact
@@ -46,56 +41,6 @@ type Outcome struct {
 	Report   Report
 }
 
-// rigTargets binds injector specs to one trial's live rig. The faults plan
-// resolves servers, the network, and the battery; the misbehave plan
-// resolves applications (gated on the scenario's enabled subset, so a spec
-// aimed at a disabled application is a materialization error, not a silent
-// no-op).
-type rigTargets struct {
-	rig  *env.Rig
-	bat  *smartbattery.Battery
-	apps *workload.Apps
-}
-
-func (t *rigTargets) Network() *netsim.Network { return t.rig.Net }
-
-func (t *rigTargets) Server(name string) (*netsim.Server, bool) {
-	for _, s := range []*netsim.Server{t.rig.VideoServer, t.rig.JanusServer, t.rig.MapServer, t.rig.WebServer} {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	for _, s := range t.PoolServers() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
-// PoolServers implements faults.PoolTargets over the rig's offload pool
-// (empty when the plane is disarmed, which Build reports as a spec error).
-func (t *rigTargets) PoolServers() []*netsim.Server {
-	if t.rig.Pool == nil {
-		return nil
-	}
-	return t.rig.Pool.Servers()
-}
-
-func (t *rigTargets) Battery() *smartbattery.Battery { return t.bat }
-
-func (t *rigTargets) App(name string) (core.Adaptive, *supervise.AppHealth, bool) {
-	if t.apps == nil || !t.apps.Enabled(name) {
-		return nil, nil, false
-	}
-	app := t.apps.ByName(name)
-	health := t.apps.Health(name)
-	if app == nil || health == nil {
-		return nil, nil, false
-	}
-	return app, health, true
-}
-
 // Contained describes a fault the run fence recovered: the sentinel it
 // maps to (SentinelPanic or SentinelStall) and the triage detail.
 type Contained struct {
@@ -115,27 +60,18 @@ type Execution struct {
 
 // Execute runs the scenario once through the goal-directed experiment on a
 // fresh rig. It is the one place the chaos and fleet planes turn a run spec
-// into GoalOptions: it materializes the fault and misbehavior plans against
-// the live rig, captures the ledger, and fences the run. Any panic
+// into GoalOptions: it passes the fault and misbehavior specs through,
+// captures the ledger, and fences the run. Any panic
 // unwinding RunGoal — a process fault transported by the kernel
 // (sim.ProcPanic), a kernel-context panic from an injector or callback, or
 // the stall detector's sim.ErrStall — comes back as Execution.Contained
 // instead of killing the soak or fleet. The rig's goroutines are already
 // torn down when the fence fires: RunGoal defers Kernel.Shutdown.
 // recordEvents attaches the trace log the sentinels audit. The error is
-// reserved for a plan that fails to materialize (unknown target, missing
+// reserved for a plan RunGoal cannot build (unknown target, missing
 // battery): a spec error, not a run outcome.
 func Execute(sc Scenario, recordEvents bool) (Execution, error) {
 	var ex Execution
-	var buildErr error
-	plan := func(spec *faults.PlanSpec, k *sim.Kernel, t *rigTargets) *faults.Plan {
-		pl, err := spec.Plan(k, t)
-		if err != nil {
-			buildErr = err
-			return nil
-		}
-		return pl
-	}
 	opt := experiment.GoalOptions{
 		Seed:            sc.Seed,
 		InitialEnergy:   sc.InitialEnergy,
@@ -144,6 +80,8 @@ func Execute(sc Scenario, recordEvents bool) (Execution, error) {
 		SmartBattery:    sc.SmartBattery,
 		Peukert:         sc.Peukert,
 		Supervise:       sc.Supervise,
+		Faults:          sc.Faults,
+		Misbehave:       sc.Misbehave,
 		Apps:            sc.AppsOrAll(),
 		Profile:         sc.Profile,
 		CompositePeriod: time.Duration(sc.CompositePeriod),
@@ -164,19 +102,9 @@ func Execute(sc Scenario, recordEvents bool) (Execution, error) {
 	if o := sc.Offload; o != nil {
 		opt.Offload = &experiment.OffloadConfig{Servers: o.Servers, Contention: o.Contention, NoHedge: o.NoHedge, Policy: o.Policy}
 	}
-	if sc.Faults != nil {
-		opt.Faults = func(rig *env.Rig, bat *smartbattery.Battery, _ int64) *faults.Plan {
-			return plan(sc.Faults, rig.K, &rigTargets{rig: rig, bat: bat})
-		}
-	}
-	if sc.Misbehave != nil {
-		opt.Misbehave = func(apps *workload.Apps, _ int64) *faults.Plan {
-			return plan(sc.Misbehave, apps.Rig.K, &rigTargets{rig: apps.Rig, apps: apps})
-		}
-	}
 	ex.Result, ex.Contained = runFenced(opt)
-	if buildErr != nil {
-		return ex, fmt.Errorf("chaos: scenario %s: %w", sc.ID(), buildErr)
+	if err := ex.Result.PlanErr; err != nil {
+		return ex, fmt.Errorf("chaos: scenario %s: %w", sc.ID(), err)
 	}
 	return ex, nil
 }

@@ -27,8 +27,8 @@ import (
 
 // Scenario is one serializable chaos trial: everything RunGoal needs to
 // reproduce the run bit-for-bit. The fault and misbehavior plans are carried
-// as specs (faults.PlanSpec) because live plans hold rig pointers; Run
-// materializes them against the trial's fresh rig.
+// as specs (faults.PlanSpec) because live plans hold rig pointers; RunGoal
+// builds them against the trial's fresh rig.
 type Scenario struct {
 	// Seed drives the kernel (workload jitter) stream; the plans carry
 	// their own derived seeds so fault timing never perturbs the workload.

@@ -67,10 +67,10 @@ type GoalOptions struct {
 	DisableAdaptation bool
 	// FixedLowest, with DisableAdaptation, pins the lowest fidelity.
 	FixedLowest bool
-	// Faults, if set, builds a fault plan against the trial's rig (bat is
-	// nil unless SmartBattery is on). The plan starts with the workload
-	// and is stopped when the run finishes.
-	Faults func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan
+	// Faults, if set, is the fault plan, bound to the trial's network,
+	// servers, offload pool and (with SmartBattery) battery. The plan
+	// starts with the workload and is stopped when the run finishes.
+	Faults *faults.PlanSpec
 	// RecordEvents attaches a trace log (adaptations, monitor decisions,
 	// fault events) returned in GoalResult.Events.
 	RecordEvents bool
@@ -82,10 +82,10 @@ type GoalOptions struct {
 	Supervise bool
 	// SuperviseConfig overrides supervisor parameters (zero = defaults).
 	SuperviseConfig supervise.Config
-	// Misbehave, if set (and typically with Supervise), builds an
-	// application-misbehavior fault plan against the trial's apps. It
+	// Misbehave, if set (and typically with Supervise), is the
+	// application-misbehavior plan, bound to the trial's enabled apps. It
 	// starts with the workload and is stopped when the run finishes.
-	Misbehave func(apps *workload.Apps, seed int64) *faults.Plan
+	Misbehave *faults.PlanSpec
 	// Apps restricts the scenario to a subset of the applications by name
 	// (nil = all four). The chaos plane uses this to compose random
 	// application mixes and to shrink failing mixes.
@@ -156,6 +156,10 @@ type GoalResult struct {
 	MissedSamples  int // power readings the monitor had to skip
 	FaultEvents    int
 	FaultCounts    map[string]int
+	// PlanErr reports a Faults or Misbehave spec that names a target the
+	// trial does not have. The kernel never ran, so the rest of the result
+	// is empty.
+	PlanErr error
 	// Events is the run's trace log when RecordEvents was set.
 	Events *trace.Log
 
@@ -221,7 +225,59 @@ func (fa *fidelityAverager) means() map[string]float64 {
 	return out
 }
 
-// RunGoal executes one goal-directed energy adaptation experiment.
+// rigTargets binds injector specs to one trial's live rig. The faults plan
+// resolves servers, the network, and the battery; the misbehave plan
+// resolves applications (gated on the scenario's enabled subset, so a spec
+// aimed at a disabled application is a build error, not a silent no-op).
+type rigTargets struct {
+	rig  *env.Rig
+	bat  *smartbattery.Battery
+	apps *workload.Apps
+}
+
+func (t *rigTargets) Network() *netsim.Network { return t.rig.Net }
+
+func (t *rigTargets) Server(name string) (*netsim.Server, bool) {
+	for _, s := range []*netsim.Server{t.rig.VideoServer, t.rig.JanusServer, t.rig.MapServer, t.rig.WebServer} {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	for _, s := range t.PoolServers() {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return nil, false
+}
+
+// PoolServers implements faults.PoolTargets over the rig's offload pool
+// (empty when the plane is disarmed, which Build reports as a spec error).
+func (t *rigTargets) PoolServers() []*netsim.Server {
+	if t.rig.Pool == nil {
+		return nil
+	}
+	return t.rig.Pool.Servers()
+}
+
+func (t *rigTargets) Battery() *smartbattery.Battery { return t.bat }
+
+func (t *rigTargets) App(name string) (core.Adaptive, *supervise.AppHealth, bool) {
+	if t.apps == nil || !t.apps.Enabled(name) {
+		return nil, nil, false
+	}
+	app := t.apps.ByName(name)
+	health := t.apps.Health(name)
+	if app == nil || health == nil {
+		return nil, nil, false
+	}
+	return app, health, true
+}
+
+// RunGoal executes one goal-directed energy adaptation experiment. The
+// Faults and Misbehave specs become live plans here and nowhere else; a
+// spec naming a missing target returns at once with GoalResult.PlanErr
+// set and the kernel never run.
 func RunGoal(opt GoalOptions) GoalResult {
 	var rig *env.Rig
 	if opt.Profile != nil {
@@ -323,19 +379,20 @@ func RunGoal(opt GoalOptions) GoalResult {
 		rig.V.SetDeliverer(sup)
 		sup.Start()
 	}
-	var plan *faults.Plan
+	var plan, misPlan *faults.Plan
 	if opt.Faults != nil {
-		if plan = opt.Faults(rig, bat, opt.Seed); plan != nil {
-			plan.Log = res.Events
-			plan.Start()
+		if plan, res.PlanErr = opt.Faults.Plan(rig.K, &rigTargets{rig: rig, bat: bat}); res.PlanErr != nil {
+			return res
 		}
+		plan.Log = res.Events
+		plan.Start()
 	}
-	var misPlan *faults.Plan
 	if opt.Misbehave != nil {
-		if misPlan = opt.Misbehave(apps, opt.Seed); misPlan != nil {
-			misPlan.Log = res.Events
-			misPlan.Start()
+		if misPlan, res.PlanErr = opt.Misbehave.Plan(rig.K, &rigTargets{rig: rig, apps: apps}); res.PlanErr != nil {
+			return res
 		}
+		misPlan.Log = res.Events
+		misPlan.Start()
 	}
 	avg := newFidelityAverager(regs)
 	em.Trace = func(tp core.TracePoint) {

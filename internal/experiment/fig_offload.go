@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"odyssey/internal/app/env"
 	"odyssey/internal/faults"
-	"odyssey/internal/smartbattery"
 	"odyssey/internal/stats"
 )
 
@@ -33,57 +31,42 @@ const offloadPoolSize = 3
 // scenario with the least slack for abandoned-work waste.
 const offloadGoal = 26 * time.Minute
 
-// offloadRung couples one severity name to its pool contention level and
-// fault plan.
+// offloadRung couples one severity to its pool contention level and fault
+// injectors.
 type offloadRung struct {
 	contention float64
-	plan       PlanBuilder
+	injectors  []faults.InjectorSpec
+}
+
+// offloadRungs is the environment ladder as data.
+var offloadRungs = map[string]offloadRung{
+	"none": {contention: 0},
+	// An idle link but a busy fleet: other devices keep the pool's
+	// background load high, so remote estimates inflate honestly.
+	"contended": {contention: 1.5},
+	// Mid-offload link flaps: outages short enough that most requests span
+	// one, forcing failover or degrade-to-local mid-transfer.
+	"flap": {contention: 0.4, injectors: []faults.InjectorSpec{
+		{Kind: faults.KindLink, MeanUp: 45 * second, MeanDown: 8 * second, MaxDown: 30 * second},
+	}},
+	// The severe rung: pool members crash and spike in turn while the link
+	// flaps, the weather the breaker/hedge/failover envelope exists for.
+	"crash": {contention: 0.4, injectors: []faults.InjectorSpec{
+		{Kind: faults.KindServerCrash, Target: faults.TargetAnyPool, MeanUp: 90 * second, MeanDown: 25 * second, MaxDown: 60 * second},
+		{Kind: faults.KindServerCrash, Target: faults.TargetAnyPool, MeanUp: 2 * minute, MeanDown: 20 * second, MaxDown: 45 * second},
+		{Kind: faults.KindServerLatency, Target: faults.TargetAnyPool, MeanUp: 90 * second, MeanDown: 30 * second, Factor: 6},
+		{Kind: faults.KindLink, MeanUp: 90 * second, MeanDown: 10 * second, MaxDown: 30 * second},
+	}},
 }
 
 // offloadPlanSeed decorrelates the ladder's fault timing from the workload
 // and offload streams.
 func offloadPlanSeed(seed int64) int64 { return seed*2654435761 + 401 }
 
-// offloadRungByName returns the environment rung for a severity name.
-func offloadRungByName(name string) (offloadRung, bool) {
-	switch name {
-	case "none":
-		return offloadRung{contention: 0, plan: nil}, true
-	case "contended":
-		// An idle link but a busy fleet: other devices keep the pool's
-		// background load high, so remote estimates inflate honestly.
-		return offloadRung{contention: 1.5, plan: nil}, true
-	case "flap":
-		// Mid-offload link flaps: outages short enough that most requests
-		// span one, forcing failover or degrade-to-local mid-transfer.
-		return offloadRung{contention: 0.4, plan: func(rig *env.Rig, _ *smartbattery.Battery, seed int64) *faults.Plan {
-			pl := faults.NewPlan(rig.K, "offload-flap", offloadPlanSeed(seed))
-			pl.Add(&faults.LinkOutage{Net: rig.Net, MeanUp: 45 * time.Second, MeanDown: 8 * time.Second, MaxDown: 30 * time.Second})
-			return pl
-		}}, true
-	case "crash":
-		// The severe rung: pool members crash and spike in turn while the
-		// link flaps — the weather the breaker/hedge/failover envelope
-		// exists for.
-		return offloadRung{contention: 0.4, plan: func(rig *env.Rig, _ *smartbattery.Battery, seed int64) *faults.Plan {
-			pl := faults.NewPlan(rig.K, "offload-crash", offloadPlanSeed(seed))
-			pool := rig.Pool.Servers()
-			pl.Add(
-				&faults.ServerCrash{Pool: pool, Net: rig.Net, MeanUp: 90 * time.Second, MeanDown: 25 * time.Second, MaxDown: 60 * time.Second},
-				&faults.ServerCrash{Pool: pool, Net: rig.Net, MeanUp: 2 * time.Minute, MeanDown: 20 * time.Second, MaxDown: 45 * time.Second},
-				&faults.ServerLatency{Pool: pool, Net: rig.Net, MeanCalm: 90 * time.Second, MeanSpike: 30 * time.Second, Factor: 6},
-				&faults.LinkOutage{Net: rig.Net, MeanUp: 90 * time.Second, MeanDown: 10 * time.Second, MaxDown: 30 * time.Second},
-			)
-			return pl
-		}}, true
-	}
-	return offloadRung{}, false
-}
-
 // RunOffloadTrial runs the goal-directed scenario with the offload plane
 // armed under the named policy and environment severity.
 func RunOffloadTrial(policy, severity string, seed int64) GoalResult {
-	rung, ok := offloadRungByName(severity)
+	rung, ok := offloadRungs[severity]
 	if !ok {
 		//odylint:allow panicfree experiment misconfiguration; caller passes a known severity
 		panic(fmt.Sprintf("experiment: unknown offload severity %q", severity))
@@ -92,11 +75,15 @@ func RunOffloadTrial(policy, severity string, seed int64) GoalResult {
 	if pol == "auto" {
 		pol = ""
 	}
+	var plan *faults.PlanSpec
+	if rung.injectors != nil {
+		plan = &faults.PlanSpec{Name: "offload-" + severity, Seed: offloadPlanSeed(seed), Injectors: rung.injectors}
+	}
 	return RunGoal(GoalOptions{
 		Seed:          seed,
 		InitialEnergy: Figure20InitialEnergy,
 		Goal:          offloadGoal,
-		Faults:        rung.plan,
+		Faults:        plan,
 		Offload: &OffloadConfig{
 			Servers:    offloadPoolSize,
 			Contention: rung.contention,

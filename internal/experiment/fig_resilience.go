@@ -2,17 +2,12 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"odyssey/internal/app/env"
 	"odyssey/internal/faults"
-	"odyssey/internal/smartbattery"
 	"odyssey/internal/stats"
 )
-
-// PlanBuilder constructs one trial's fault plan against its freshly built
-// rig. bat is non-nil only when the trial reads a SmartBattery.
-type PlanBuilder func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan
 
 // ResilienceSeverities lists the escalating fault plans, benign first. The
 // "mid" plan is the acceptance bar: outages bounded to ~8% of wall time
@@ -20,69 +15,59 @@ type PlanBuilder func(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faul
 // server crash windows capped at 60 s.
 var ResilienceSeverities = []string{"none", "mild", "mid", "severe"}
 
-// ResiliencePlanByName returns the plan builder for a severity name. The
-// builder for "none" returns nil (clean run); unknown names report ok=false.
-func ResiliencePlanByName(name string) (b PlanBuilder, ok bool) {
-	switch name {
-	case "none":
-		return func(*env.Rig, *smartbattery.Battery, int64) *faults.Plan { return nil }, true
-	case "mild":
-		return mildPlan, true
-	case "mid":
-		return midPlan, true
-	case "severe":
-		return severePlan, true
+// Units for the ladders' spec tables.
+const (
+	second = faults.Dur(time.Second)
+	minute = faults.Dur(time.Minute)
+)
+
+// resiliencePlans is the fault ladder as data: each severity's injectors,
+// in arming order.
+var resiliencePlans = map[string][]faults.InjectorSpec{
+	"none": nil,
+	// Brief rare outages and light byte loss: the failure level a
+	// well-covered campus network shows.
+	"mild": {
+		{Kind: faults.KindLink, MeanUp: 5 * minute, MeanDown: 5 * second, MaxDown: 20 * second},
+		{Kind: faults.KindLoss, Fraction: 0.02, Spread: 0.5},
+	},
+	// The acceptance bar: outages well under 10% of wall time, crash
+	// windows capped at 60 s, plus loss and a distill-server slowdown.
+	"mid": {
+		{Kind: faults.KindLink, MeanUp: 2 * minute, MeanDown: 10 * second, MaxDown: 45 * second},
+		{Kind: faults.KindLoss, Fraction: 0.05, Spread: 0.5},
+		{Kind: faults.KindServerCrash, Target: "janus-server", MeanUp: 4 * minute, MeanDown: 20 * second, MaxDown: 60 * second},
+		{Kind: faults.KindServerLatency, Target: "distill-server", MeanUp: 3 * minute, MeanDown: 30 * second, Factor: 3},
+	},
+	// The stress arm: frequent outages (~20% of wall time), heavy loss,
+	// recurring crashes and slowdowns on every server dependency.
+	"severe": {
+		{Kind: faults.KindLink, MeanUp: minute, MeanDown: 15 * second, MaxDown: 60 * second},
+		{Kind: faults.KindLoss, Fraction: 0.10, Spread: 0.5},
+		{Kind: faults.KindServerCrash, Target: "janus-server", MeanUp: 2 * minute, MeanDown: 30 * second, MaxDown: 60 * second},
+		{Kind: faults.KindServerCrash, Target: "distill-server", MeanUp: 3 * minute, MeanDown: 30 * second, MaxDown: 60 * second},
+		{Kind: faults.KindServerLatency, Target: "distill-server", MeanUp: 2 * minute, MeanDown: 45 * second, Factor: 5},
+	},
+}
+
+// ResiliencePlanByName returns the fault plan for a severity name and trial
+// seed: nil for "none" (clean run); unknown names report ok=false.
+func ResiliencePlanByName(name string, seed int64) (*faults.PlanSpec, bool) {
+	return ladderPlan(resiliencePlans, name, name, planSeed(seed))
+}
+
+// ladderPlan looks a severity up in a ladder's spec table, returning nil
+// for a severity without injectors.
+func ladderPlan(table map[string][]faults.InjectorSpec, severity, planName string, seed int64) (*faults.PlanSpec, bool) {
+	injs, ok := table[severity]
+	if len(injs) == 0 {
+		return nil, ok
 	}
-	return nil, false
+	return &faults.PlanSpec{Name: planName, Seed: seed, Injectors: slices.Clone(injs)}, true
 }
 
 // planSeed decorrelates fault timing from the workload's kernel stream.
 func planSeed(seed int64) int64 { return seed*2654435761 + 97 }
-
-// mildPlan: brief rare outages and light byte loss — the failure level a
-// well-covered campus network shows.
-func mildPlan(rig *env.Rig, _ *smartbattery.Battery, seed int64) *faults.Plan {
-	pl := faults.NewPlan(rig.K, "mild", planSeed(seed))
-	pl.Add(
-		&faults.LinkOutage{Net: rig.Net, MeanUp: 5 * time.Minute, MeanDown: 5 * time.Second, MaxDown: 20 * time.Second},
-		&faults.ByteLoss{Net: rig.Net, Fraction: 0.02, Spread: 0.5},
-	)
-	return pl
-}
-
-// midPlan is the acceptance-bar plan: outages well under 10% of wall time,
-// crash windows capped at 60 s, plus loss, a distill-server slowdown, and
-// battery readout dropouts when a SmartBattery is present.
-func midPlan(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
-	pl := faults.NewPlan(rig.K, "mid", planSeed(seed))
-	pl.Add(
-		&faults.LinkOutage{Net: rig.Net, MeanUp: 2 * time.Minute, MeanDown: 10 * time.Second, MaxDown: 45 * time.Second},
-		&faults.ByteLoss{Net: rig.Net, Fraction: 0.05, Spread: 0.5},
-		&faults.ServerCrash{Server: rig.JanusServer, Net: rig.Net, MeanUp: 4 * time.Minute, MeanDown: 20 * time.Second, MaxDown: 60 * time.Second},
-		&faults.ServerLatency{Server: rig.WebServer, Net: rig.Net, MeanCalm: 3 * time.Minute, MeanSpike: 30 * time.Second, Factor: 3},
-	)
-	if bat != nil {
-		pl.Add(&faults.BatteryDropout{Bat: bat, MeanUp: 3 * time.Minute, MeanDown: 10 * time.Second})
-	}
-	return pl
-}
-
-// severePlan: the stress arm — frequent outages (~20% of wall time), heavy
-// loss, recurring crashes and slowdowns on every server dependency.
-func severePlan(rig *env.Rig, bat *smartbattery.Battery, seed int64) *faults.Plan {
-	pl := faults.NewPlan(rig.K, "severe", planSeed(seed))
-	pl.Add(
-		&faults.LinkOutage{Net: rig.Net, MeanUp: time.Minute, MeanDown: 15 * time.Second, MaxDown: 60 * time.Second},
-		&faults.ByteLoss{Net: rig.Net, Fraction: 0.10, Spread: 0.5},
-		&faults.ServerCrash{Server: rig.JanusServer, Net: rig.Net, MeanUp: 2 * time.Minute, MeanDown: 30 * time.Second, MaxDown: 60 * time.Second},
-		&faults.ServerCrash{Server: rig.WebServer, Net: rig.Net, MeanUp: 3 * time.Minute, MeanDown: 30 * time.Second, MaxDown: 60 * time.Second},
-		&faults.ServerLatency{Server: rig.WebServer, Net: rig.Net, MeanCalm: 2 * time.Minute, MeanSpike: 45 * time.Second, Factor: 5},
-	)
-	if bat != nil {
-		pl.Add(&faults.BatteryDropout{Bat: bat, MeanUp: 2 * time.Minute, MeanDown: 20 * time.Second})
-	}
-	return pl
-}
 
 // resilienceGoal is the Fig-19 goal-directed scenario the fault ladder runs
 // under: the harder 26-minute goal on the Figure 20 supply, which forces
@@ -94,7 +79,7 @@ const resilienceGoal = 26 * time.Minute
 
 // RunResilienceTrial runs the Fig-19 scenario under the named fault plan.
 func RunResilienceTrial(severity string, seed int64) GoalResult {
-	builder, ok := ResiliencePlanByName(severity)
+	spec, ok := ResiliencePlanByName(severity, seed)
 	if !ok {
 		//odylint:allow panicfree experiment misconfiguration; caller passes a known severity
 		panic(fmt.Sprintf("experiment: unknown fault severity %q", severity))
@@ -103,7 +88,7 @@ func RunResilienceTrial(severity string, seed int64) GoalResult {
 		Seed:          seed,
 		InitialEnergy: Figure20InitialEnergy,
 		Goal:          resilienceGoal,
-		Faults:        builder,
+		Faults:        spec,
 	})
 }
 

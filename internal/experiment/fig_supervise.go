@@ -2,16 +2,10 @@ package experiment
 
 import (
 	"fmt"
-	"time"
 
 	"odyssey/internal/faults"
 	"odyssey/internal/stats"
-	"odyssey/internal/workload"
 )
-
-// MisbehaveBuilder constructs one trial's application-misbehavior plan
-// against its freshly built applications.
-type MisbehaveBuilder func(apps *workload.Apps, seed int64) *faults.Plan
 
 // MisbehaveSeverities lists the escalating misbehavior ladders, benign
 // first. "none" arms the supervisor over a well-behaved workload (the
@@ -21,78 +15,49 @@ type MisbehaveBuilder func(apps *workload.Apps, seed int64) *faults.Plan
 // battery-duration goal is still met.
 var MisbehaveSeverities = []string{"none", "mild", "mid", "severe"}
 
-// MisbehavePlanByName returns the misbehavior builder for a severity name.
-// The builder for "none" returns nil (no misbehavior); unknown names report
+// misbehavePlans is the misbehavior ladder as data: each severity's
+// injectors, in arming order.
+var misbehavePlans = map[string][]faults.InjectorSpec{
+	"none": nil,
+	// Occasional hang windows on the map viewer and rare defiant
+	// re-raises from the browser: misbehavior the restart path absorbs
+	// without ever exhausting a retry budget.
+	"mild": {
+		{Kind: faults.KindAppHang, Target: "map", MeanUp: 6 * minute, MeanDown: 15 * second, MaxDown: 30 * second},
+		{Kind: faults.KindAppThrash, Target: "web", MeanUp: 10 * minute, MeanDown: 30 * second},
+	},
+	// The acceptance bar: the speech recognizer crash-loops with a
+	// ~2-minute mean uptime, enough deaths in a 26-minute run to exhaust
+	// its restart budget and force quarantine, while the map viewer
+	// hangs, the browser defies degradation, and the video player opens
+	// windows in which it streams two tracks above its reported level, at
+	// rates the restart path contains without a second quarantine.
+	"mid": {
+		{Kind: faults.KindAppCrash, Target: "speech", MeanUp: 2 * minute},
+		{Kind: faults.KindAppHang, Target: "map", MeanUp: 5 * minute, MeanDown: 20 * second, MaxDown: 45 * second},
+		{Kind: faults.KindAppThrash, Target: "web", MeanUp: 9 * minute, MeanDown: 40 * second},
+		{Kind: faults.KindAppLie, Target: "video", MeanUp: 15 * minute, MeanDown: 40 * second, Delta: 2},
+	},
+	// The stress arm: fast crash-loops, long hangs, frequent thrash, and
+	// large consumption lies on every front at once.
+	"severe": {
+		{Kind: faults.KindAppCrash, Target: "speech", MeanUp: 2 * minute},
+		{Kind: faults.KindAppHang, Target: "map", MeanUp: 3 * minute, MeanDown: 30 * second, MaxDown: 60 * second},
+		{Kind: faults.KindAppThrash, Target: "web", MeanUp: 3 * minute, MeanDown: 60 * second, Period: second},
+		{Kind: faults.KindAppLie, Target: "video", MeanUp: 3 * minute, MeanDown: 60 * second, Delta: 3},
+	},
+}
+
+// MisbehavePlanByName returns the misbehavior plan for a severity name and
+// trial seed: nil for "none" (no misbehavior); unknown names report
 // ok=false.
-func MisbehavePlanByName(name string) (b MisbehaveBuilder, ok bool) {
-	switch name {
-	case "none":
-		return func(*workload.Apps, int64) *faults.Plan { return nil }, true
-	case "mild":
-		return misMildPlan, true
-	case "mid":
-		return misMidPlan, true
-	case "severe":
-		return misSeverePlan, true
-	}
-	return nil, false
+func MisbehavePlanByName(name string, seed int64) (*faults.PlanSpec, bool) {
+	return ladderPlan(misbehavePlans, name, name+"-misbehave", misSeed(seed))
 }
 
 // misSeed decorrelates misbehavior timing from both the workload's kernel
 // stream and the network fault plane's (which uses +97).
 func misSeed(seed int64) int64 { return seed*2654435761 + 211 }
-
-// misMildPlan: occasional hang windows on the map viewer and rare defiant
-// re-raises from the browser — misbehavior the restart path absorbs without
-// ever exhausting a retry budget.
-func misMildPlan(apps *workload.Apps, seed int64) *faults.Plan {
-	pl := faults.NewPlan(apps.Rig.K, "mild-misbehave", misSeed(seed))
-	pl.Add(
-		&faults.AppHang{App: apps.Map, Health: &apps.Map.Health,
-			MeanOK: 6 * time.Minute, MeanHang: 15 * time.Second, MaxHang: 30 * time.Second},
-		&faults.AppThrash{App: apps.Web, Health: &apps.Web.Health,
-			MeanCalm: 10 * time.Minute, MeanThrash: 30 * time.Second},
-	)
-	return pl
-}
-
-// misMidPlan is the acceptance-bar ladder: the speech recognizer
-// crash-loops with a ~2-minute mean uptime — enough deaths in a 26-minute
-// run to exhaust its restart budget and force quarantine — while the map
-// viewer hangs, the browser defies degradation, and the video player opens
-// windows in which it streams two tracks above its reported level, at rates
-// the restart path contains without a second quarantine.
-func misMidPlan(apps *workload.Apps, seed int64) *faults.Plan {
-	pl := faults.NewPlan(apps.Rig.K, "mid-misbehave", misSeed(seed))
-	pl.Add(
-		&faults.AppCrash{App: apps.Speech, Health: &apps.Speech.Health,
-			MeanUp: 2 * time.Minute},
-		&faults.AppHang{App: apps.Map, Health: &apps.Map.Health,
-			MeanOK: 5 * time.Minute, MeanHang: 20 * time.Second, MaxHang: 45 * time.Second},
-		&faults.AppThrash{App: apps.Web, Health: &apps.Web.Health,
-			MeanCalm: 9 * time.Minute, MeanThrash: 40 * time.Second},
-		&faults.AppLie{App: apps.Video, Health: &apps.Video.Health,
-			MeanOK: 15 * time.Minute, MeanLie: 40 * time.Second, Delta: 2},
-	)
-	return pl
-}
-
-// misSeverePlan: the stress arm — fast crash-loops, long hangs, frequent
-// thrash, and large consumption lies on every front at once.
-func misSeverePlan(apps *workload.Apps, seed int64) *faults.Plan {
-	pl := faults.NewPlan(apps.Rig.K, "severe-misbehave", misSeed(seed))
-	pl.Add(
-		&faults.AppCrash{App: apps.Speech, Health: &apps.Speech.Health,
-			MeanUp: 2 * time.Minute},
-		&faults.AppHang{App: apps.Map, Health: &apps.Map.Health,
-			MeanOK: 3 * time.Minute, MeanHang: 30 * time.Second, MaxHang: 60 * time.Second},
-		&faults.AppThrash{App: apps.Web, Health: &apps.Web.Health,
-			MeanCalm: 3 * time.Minute, MeanThrash: 60 * time.Second, Period: time.Second},
-		&faults.AppLie{App: apps.Video, Health: &apps.Video.Health,
-			MeanOK: 3 * time.Minute, MeanLie: 60 * time.Second, Delta: 3},
-	)
-	return pl
-}
 
 // supervisionGoal reuses the resilience scenario: the hard 26-minute goal
 // on the Figure 20 supply, where a misbehaving application that escapes
@@ -102,7 +67,7 @@ const supervisionGoal = resilienceGoal
 // RunSupervisionTrial runs the goal scenario with the supervisor armed
 // under the named misbehavior ladder.
 func RunSupervisionTrial(severity string, seed int64) GoalResult {
-	builder, ok := MisbehavePlanByName(severity)
+	spec, ok := MisbehavePlanByName(severity, seed)
 	if !ok {
 		//odylint:allow panicfree experiment misconfiguration; caller passes a known severity
 		panic(fmt.Sprintf("experiment: unknown misbehavior severity %q", severity))
@@ -112,7 +77,7 @@ func RunSupervisionTrial(severity string, seed int64) GoalResult {
 		InitialEnergy: Figure20InitialEnergy,
 		Goal:          supervisionGoal,
 		Supervise:     true,
-		Misbehave:     builder,
+		Misbehave:     spec,
 	})
 }
 

@@ -2,6 +2,9 @@ package experiment
 
 import (
 	"testing"
+	"time"
+
+	"odyssey/internal/faults"
 )
 
 // TestSupervisionMidTrialMeetsBar is the acceptance bar of the supervision
@@ -63,11 +66,45 @@ func TestSupervisionNoneArmIsClean(t *testing.T) {
 // ladder registry in lockstep.
 func TestMisbehaveSeveritiesResolvable(t *testing.T) {
 	for _, sev := range MisbehaveSeverities {
-		if _, ok := MisbehavePlanByName(sev); !ok {
+		if _, ok := MisbehavePlanByName(sev, 1); !ok {
 			t.Fatalf("severity %q in MisbehaveSeverities but not resolvable", sev)
 		}
 	}
-	if _, ok := MisbehavePlanByName("nope"); ok {
+	if _, ok := MisbehavePlanByName("nope", 1); ok {
 		t.Fatal("unknown severity resolved")
+	}
+}
+
+// TestRunGoalPlanErrSkipsRun: each plan binds only its own role's targets,
+// so an app injector in Faults or a battery dropout without SmartBattery
+// is a spec error that RunGoal reports before the kernel runs.
+func TestRunGoalPlanErrSkipsRun(t *testing.T) {
+	crash := &faults.PlanSpec{Name: "t", Seed: 1, Injectors: []faults.InjectorSpec{
+		{Kind: faults.KindAppCrash, Target: "speech", MeanUp: faults.Dur(time.Minute)},
+	}}
+	dropout := &faults.PlanSpec{Name: "t", Seed: 1, Injectors: []faults.InjectorSpec{
+		{Kind: faults.KindBatteryDropout, MeanUp: faults.Dur(time.Minute), MeanDown: faults.Dur(time.Second)},
+	}}
+	for _, c := range []struct {
+		name string
+		opt  GoalOptions
+	}{
+		{"app crash in Faults", GoalOptions{Faults: crash}},
+		{"battery dropout without SmartBattery", GoalOptions{Faults: dropout}},
+		{"battery dropout in Misbehave", GoalOptions{SmartBattery: true, Misbehave: dropout}},
+	} {
+		opt := c.opt
+		opt.Seed, opt.InitialEnergy, opt.Goal = 1, Figure20InitialEnergy, 20*time.Minute
+		r := RunGoal(opt)
+		if r.PlanErr == nil {
+			t.Errorf("%s: no PlanErr", c.name)
+		}
+		if r.EndTime != 0 || r.Met {
+			t.Errorf("%s: the run went ahead (end %v, met %v)", c.name, r.EndTime, r.Met)
+		}
+	}
+	// The same crash spec is valid as a misbehavior plan.
+	if r := RunGoal(GoalOptions{Seed: 1, InitialEnergy: Figure20InitialEnergy, Goal: 20 * time.Minute, Misbehave: crash}); r.PlanErr != nil {
+		t.Fatalf("app crash in Misbehave: %v", r.PlanErr)
 	}
 }

@@ -23,13 +23,10 @@ import (
 
 // Injector is one fault process. Start arms it against the plan's clock and
 // RNG; Stop disarms it and restores healthy state. Both are idempotent.
-// Spec returns the injector's serializable description (see spec.go), so a
-// plan can round-trip through JSON and be rebuilt against a fresh rig.
 type Injector interface {
 	Name() string
 	Start(pl *Plan)
 	Stop()
-	Spec() InjectorSpec
 }
 
 // Plan composes injectors under one seeded RNG stream, separate from the
@@ -40,10 +37,8 @@ type Plan struct {
 	Log *trace.Log
 
 	k         *sim.Kernel
-	seed      int64
 	rng       *rand.Rand
 	injectors []Injector
-	pending   []InjectorSpec // decoded but not yet materialized (spec.go)
 	counts    map[string]int
 	running   bool
 }
@@ -54,22 +49,20 @@ func NewPlan(k *sim.Kernel, name string, seed int64) *Plan {
 	return &Plan{
 		Name:   name,
 		k:      k,
-		seed:   seed,
 		rng:    rand.New(rand.NewSource(seed)),
 		counts: make(map[string]int),
 	}
 }
 
 // Add appends injectors to the plan (before or after Start; added ones
-// start immediately if the plan is running). It returns the plan.
-func (pl *Plan) Add(injs ...Injector) *Plan {
+// start immediately if the plan is running).
+func (pl *Plan) Add(injs ...Injector) {
 	pl.injectors = append(pl.injectors, injs...)
 	if pl.running {
 		for _, in := range injs {
 			in.Start(pl)
 		}
 	}
-	return pl
 }
 
 // Start arms every injector.

@@ -26,11 +26,6 @@ type LinkOutage struct {
 // Name implements Injector.
 func (o *LinkOutage) Name() string { return "link" }
 
-// Spec implements Injector.
-func (o *LinkOutage) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindLink, MeanUp: Dur(o.MeanUp), MeanDown: Dur(o.MeanDown), MaxDown: Dur(o.MaxDown)}
-}
-
 // Start implements Injector.
 func (o *LinkOutage) Start(pl *Plan) {
 	o.Net.SetResilient(true)
@@ -77,11 +72,6 @@ type ByteLoss struct {
 // Name implements Injector.
 func (b *ByteLoss) Name() string { return "loss" }
 
-// Spec implements Injector.
-func (b *ByteLoss) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindLoss, Fraction: b.Fraction, Spread: b.Spread}
-}
-
 // Start implements Injector.
 func (b *ByteLoss) Start(pl *Plan) {
 	if b.armed {
@@ -123,7 +113,7 @@ type ServerCrash struct {
 	// Pool, when non-nil, marks a symbolic TargetAnyPool injector: the
 	// victim Server is drawn from it with the plan's seeded RNG at Start
 	// (one draw, before the toggler's), so which member crashes is
-	// deterministic per seed and the spec round-trips symbolically.
+	// deterministic per seed.
 	Pool []*netsim.Server
 
 	t       toggler
@@ -136,16 +126,6 @@ func (c *ServerCrash) Name() string {
 		return "server:" + TargetAnyPool
 	}
 	return "server:" + c.Server.Name
-}
-
-// Spec implements Injector.
-func (c *ServerCrash) Spec() InjectorSpec {
-	target := TargetAnyPool
-	if c.Pool == nil {
-		target = c.Server.Name
-	}
-	return InjectorSpec{Kind: KindServerCrash, Target: target,
-		MeanUp: Dur(c.MeanUp), MeanDown: Dur(c.MeanDown), MaxDown: Dur(c.MaxDown)}
 }
 
 // Start implements Injector.
@@ -204,16 +184,6 @@ func (l *ServerLatency) Name() string {
 	return "latency:" + l.Server.Name
 }
 
-// Spec implements Injector.
-func (l *ServerLatency) Spec() InjectorSpec {
-	target := TargetAnyPool
-	if l.Pool == nil {
-		target = l.Server.Name
-	}
-	return InjectorSpec{Kind: KindServerLatency, Target: target,
-		MeanUp: Dur(l.MeanCalm), MeanDown: Dur(l.MeanSpike), Factor: l.Factor}
-}
-
 // Start implements Injector.
 func (l *ServerLatency) Start(pl *Plan) {
 	if l.Server == nil && len(l.Pool) > 0 {
@@ -259,11 +229,6 @@ type BatteryDropout struct {
 
 // Name implements Injector.
 func (d *BatteryDropout) Name() string { return "battery" }
-
-// Spec implements Injector.
-func (d *BatteryDropout) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindBatteryDropout, MeanUp: Dur(d.MeanUp), MeanDown: Dur(d.MeanDown)}
-}
 
 // Start implements Injector.
 func (d *BatteryDropout) Start(pl *Plan) {

@@ -27,8 +27,10 @@ type TestPanic struct {
 	ev    sim.Event
 }
 
+// Name implements Injector.
 func (t *TestPanic) Name() string { return KindTestPanic }
 
+// Start implements Injector, scheduling the panic Delay from now.
 func (t *TestPanic) Start(pl *Plan) {
 	t.ev = pl.k.After(t.Delay, func() {
 		//odylint:allow panicfree planted containment self-test: the chaos fence must observe a kernel-context panic
@@ -36,13 +38,10 @@ func (t *TestPanic) Start(pl *Plan) {
 	})
 }
 
+// Stop implements Injector, cancelling a panic that has not fired.
 func (t *TestPanic) Stop() {
 	t.ev.Cancel()
 	t.ev = sim.Event{}
-}
-
-func (t *TestPanic) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindTestPanic, MeanUp: Dur(t.Delay)}
 }
 
 // TestProcPanic spawns a process that panics after Delay — the fault path
@@ -53,6 +52,7 @@ type TestProcPanic struct {
 	stopped bool
 }
 
+// Name implements Injector.
 func (t *TestProcPanic) Name() string { return KindTestProcPanic }
 
 func (t *TestProcPanic) Start(pl *Plan) {
@@ -68,10 +68,6 @@ func (t *TestProcPanic) Start(pl *Plan) {
 }
 
 func (t *TestProcPanic) Stop() { t.stopped = true }
-
-func (t *TestProcPanic) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindTestProcPanic, MeanUp: Dur(t.Delay)}
-}
 
 // TestLivelock enters a zero-delay self-reschedule loop after Delay: virtual
 // time stops advancing and only the kernel's stall detector can end the run.
@@ -95,7 +91,3 @@ func (t *TestLivelock) Start(pl *Plan) {
 }
 
 func (t *TestLivelock) Stop() { t.stopped = true }
-
-func (t *TestLivelock) Spec() InjectorSpec {
-	return InjectorSpec{Kind: KindTestLivelock, MeanUp: Dur(t.Delay)}
-}

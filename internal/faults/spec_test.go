@@ -79,50 +79,75 @@ func allKindsSpec() faults.PlanSpec {
 	}
 }
 
-// TestPlanSpecJSONRoundTrip: spec -> materialized plan -> JSON -> decoded
-// plan -> materialized -> spec is the identity, for every injector kind and
-// every parameter field.
+// TestPlanSpecJSONRoundTrip: spec -> JSON -> spec is the identity for
+// every injector kind and every parameter field, and re-encoding the
+// decoded spec gives the same bytes.
 func TestPlanSpecJSONRoundTrip(t *testing.T) {
-	k, tg := newSpecRig(1)
 	spec := allKindsSpec()
-	pl, err := spec.Plan(k, tg)
-	if err != nil {
-		t.Fatalf("materialize: %v", err)
-	}
-	if got := pl.Spec(); !reflect.DeepEqual(got, spec) {
-		t.Fatalf("live plan spec diverged:\n got %+v\nwant %+v", got, spec)
-	}
-	b, err := json.Marshal(pl)
+	b, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var decoded faults.Plan
+	var decoded faults.PlanSpec
 	if err := json.Unmarshal(b, &decoded); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if got := decoded.Spec(); !reflect.DeepEqual(got, spec) {
-		t.Fatalf("decoded (pending) spec diverged:\n got %+v\nwant %+v", got, spec)
+	if !reflect.DeepEqual(decoded, spec) {
+		t.Fatalf("decoded spec diverged:\n got %+v\nwant %+v", decoded, spec)
 	}
-	if decoded.Seed() != spec.Seed {
-		t.Fatalf("seed %d after round trip, want %d", decoded.Seed(), spec.Seed)
-	}
-	k2, tg2 := newSpecRig(2)
-	if err := decoded.Materialize(k2, tg2); err != nil {
-		t.Fatalf("materialize decoded plan: %v", err)
-	}
-	if got := decoded.Spec(); !reflect.DeepEqual(got, spec) {
-		t.Fatalf("re-materialized spec diverged:\n got %+v\nwant %+v", got, spec)
-	}
-	if err := decoded.Materialize(k2, tg2); err == nil {
-		t.Fatal("second Materialize succeeded; want already-materialized error")
-	}
-	// Second marshal must be byte-identical (stable serialization).
-	b2, err := json.Marshal(&decoded)
+	b2, err := json.Marshal(decoded)
 	if err != nil {
 		t.Fatalf("re-marshal: %v", err)
 	}
 	if string(b) != string(b2) {
 		t.Fatalf("unstable serialization:\n %s\n %s", b, b2)
+	}
+}
+
+// TestInjectorSpecBuild: Build maps every spec field onto the injector its
+// kind names, bound to the resolved targets. The field names differ by
+// kind (a latency spec's MeanUp is the injector's MeanCalm), so each kind
+// is compared against a literal.
+func TestInjectorSpecBuild(t *testing.T) {
+	_, tg := newPoolRig(1, 2)
+	srv, video := tg.servers["srv-a"], tg.apps["video"]
+	specs := allKindsSpec().Injectors
+	cases := []struct {
+		spec faults.InjectorSpec
+		want faults.Injector
+	}{
+		{specs[0], &faults.LinkOutage{Net: tg.net, MeanUp: 30 * time.Second, MeanDown: 5 * time.Second, MaxDown: 20 * time.Second}},
+		{specs[1], &faults.ByteLoss{Net: tg.net, Fraction: 0.2, Spread: 0.1}},
+		{specs[2], &faults.ServerCrash{Server: srv, Net: tg.net, MeanUp: time.Minute, MeanDown: 8 * time.Second, MaxDown: 45 * time.Second}},
+		{specs[3], &faults.ServerLatency{Server: srv, Net: tg.net, MeanCalm: 40 * time.Second, MeanSpike: 10 * time.Second, Factor: 4.5}},
+		{specs[4], &faults.BatteryDropout{Bat: tg.bat, MeanUp: 90 * time.Second, MeanDown: 2 * time.Second}},
+		{specs[5], &faults.AppCrash{App: video, Health: &video.health, MeanUp: 2 * time.Minute}},
+		{specs[6], &faults.AppHang{App: video, Health: &video.health, MeanOK: 80 * time.Second, MeanHang: 10 * time.Second, MaxHang: time.Minute}},
+		{specs[7], &faults.AppThrash{App: video, Health: &video.health, MeanCalm: 80 * time.Second, MeanThrash: 20 * time.Second, Period: 3 * time.Second}},
+		{specs[8], &faults.AppLie{App: video, Health: &video.health, MeanOK: 80 * time.Second, MeanLie: 30 * time.Second, Delta: 2}},
+		{
+			faults.InjectorSpec{Kind: faults.KindServerCrash, Target: faults.TargetAnyPool, MeanUp: faults.Dur(time.Minute), MeanDown: faults.Dur(time.Second), MaxDown: faults.Dur(9 * time.Second)},
+			&faults.ServerCrash{Pool: tg.pool, Net: tg.net, MeanUp: time.Minute, MeanDown: time.Second, MaxDown: 9 * time.Second},
+		},
+		{
+			faults.InjectorSpec{Kind: faults.KindServerLatency, Target: faults.TargetAnyPool, MeanUp: faults.Dur(time.Minute), MeanDown: faults.Dur(time.Second), Factor: 2},
+			&faults.ServerLatency{Pool: tg.pool, Net: tg.net, MeanCalm: time.Minute, MeanSpike: time.Second, Factor: 2},
+		},
+		{faults.InjectorSpec{Kind: faults.KindTestPanic, MeanUp: faults.Dur(time.Second)}, &faults.TestPanic{Delay: time.Second}},
+		{faults.InjectorSpec{Kind: faults.KindTestProcPanic, MeanUp: faults.Dur(2 * time.Second)}, &faults.TestProcPanic{Delay: 2 * time.Second}},
+		{faults.InjectorSpec{Kind: faults.KindTestLivelock, MeanUp: faults.Dur(3 * time.Second)}, &faults.TestLivelock{Delay: 3 * time.Second}},
+	}
+	if len(specs) != 9 {
+		t.Fatalf("allKindsSpec has %d injectors; extend this table", len(specs))
+	}
+	for _, c := range cases {
+		got, err := c.spec.Build(tg)
+		if err != nil {
+			t.Fatalf("Build(%+v): %v", c.spec, err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Build(%+v):\n got %+v\nwant %+v", c.spec, got, c.want)
+		}
 	}
 }
 

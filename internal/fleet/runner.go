@@ -75,7 +75,7 @@ func shardRange(s, k, n int) (int, int) {
 // Run executes the fleet: derives each session from (population, seed,
 // index), runs it on a private rig, and reduces everything into one
 // Aggregate. Memory is O(shards + workers), independent of Devices. The
-// error is non-nil only if a derived fault plan failed to materialize —
+// error is non-nil only if a derived fault plan failed to build —
 // a population-model bug, not a device outcome.
 func Run(opts RunOptions) (*Result, error) {
 	n := opts.Devices

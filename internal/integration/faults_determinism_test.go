@@ -15,7 +15,7 @@ import (
 // and the energy outcome in hex floats — to one byte string.
 func faultedRun(t *testing.T, seed int64) (string, experiment.GoalResult) {
 	t.Helper()
-	builder, ok := experiment.ResiliencePlanByName("mid")
+	spec, ok := experiment.ResiliencePlanByName("mid", seed)
 	if !ok {
 		t.Fatal("mid fault plan missing")
 	}
@@ -23,7 +23,7 @@ func faultedRun(t *testing.T, seed int64) (string, experiment.GoalResult) {
 		Seed:          seed,
 		InitialEnergy: experiment.Figure20InitialEnergy,
 		Goal:          26 * time.Minute,
-		Faults:        builder,
+		Faults:        spec,
 		RecordEvents:  true,
 	})
 	var b strings.Builder

@@ -17,7 +17,7 @@ import (
 // floats.
 func supervisedRun(t *testing.T, seed int64) (string, experiment.GoalResult) {
 	t.Helper()
-	builder, ok := experiment.MisbehavePlanByName("mid")
+	spec, ok := experiment.MisbehavePlanByName("mid", seed)
 	if !ok {
 		t.Fatal("mid misbehavior ladder missing")
 	}
@@ -26,7 +26,7 @@ func supervisedRun(t *testing.T, seed int64) (string, experiment.GoalResult) {
 		InitialEnergy: experiment.Figure20InitialEnergy,
 		Goal:          26 * time.Minute,
 		Supervise:     true,
-		Misbehave:     builder,
+		Misbehave:     spec,
 		RecordEvents:  true,
 	})
 	var b strings.Builder
