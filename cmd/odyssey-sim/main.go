@@ -75,7 +75,24 @@ func main() {
 	flag.Parse()
 	emitCSV = *csvOut
 	misbehave = *misbehaveArg
-	offloadRung = *offloadArg
+	if misbehave != "" && !contains(experiment.MisbehaveSeverities, misbehave) {
+		fmt.Fprintf(os.Stderr, "unknown misbehavior severity %q; known: %s\n",
+			misbehave, strings.Join(experiment.MisbehaveSeverities, " "))
+		os.Exit(2)
+	}
+	if *offloadArg != "" {
+		var ok bool
+		offloadPolicy, offloadEnv, ok = strings.Cut(*offloadArg, ":")
+		if !ok {
+			fmt.Fprintf(os.Stderr, "offload rung %q is not policy:environment (e.g. auto:crash)\n", *offloadArg)
+			os.Exit(2)
+		}
+		if !contains(experiment.OffloadPolicies, offloadPolicy) || !contains(experiment.OffloadSeverities, offloadEnv) {
+			fmt.Fprintf(os.Stderr, "unknown offload rung %q; policies: %s; environments: %s\n",
+				*offloadArg, strings.Join(experiment.OffloadPolicies, " "), strings.Join(experiment.OffloadSeverities, " "))
+			os.Exit(2)
+		}
+	}
 	experiment.SetParallelism(*parallel)
 	experiment.SetCacheDir(*cacheDir)
 	if *progress {
@@ -146,8 +163,8 @@ var emitCSV bool
 // misbehave selects a single supervision rung for -figure supervision.
 var misbehave string
 
-// offloadRung selects a single policy:environment rung for -figure offload.
-var offloadRung string
+// offloadPolicy and offloadEnv select a single rung for -figure offload.
+var offloadPolicy, offloadEnv string
 
 // render prints a table in the selected format.
 func render(t *experiment.Table) {
@@ -210,11 +227,6 @@ func run(id string, trials int, breakdown bool) {
 		render(experiment.ResilienceTable(experiment.FigureResilience(min(trials, 3))))
 	case "supervision":
 		if misbehave != "" {
-			if _, ok := experiment.MisbehavePlanByName(misbehave, 0); !ok {
-				fmt.Fprintf(os.Stderr, "unknown misbehavior severity %q; known: %s\n",
-					misbehave, strings.Join(experiment.MisbehaveSeverities, " "))
-				os.Exit(2)
-			}
 			r := experiment.RunSupervisionTrial(misbehave, 2662)
 			fmt.Printf("Supervision trial (%s): met=%v residual %.0f J (%.1f%% of supply), supervise energy %.1f J\n",
 				misbehave, r.Met, r.Residual, r.Residual/experiment.Figure20InitialEnergy*100, r.SuperviseEnergy)
@@ -224,20 +236,10 @@ func run(id string, trials int, breakdown bool) {
 		}
 		render(experiment.SupervisionTable(experiment.FigureSupervision(min(trials, 3))))
 	case "offload":
-		if offloadRung != "" {
-			policy, env, ok := strings.Cut(offloadRung, ":")
-			if !ok {
-				fmt.Fprintf(os.Stderr, "offload rung %q is not policy:environment (e.g. auto:crash)\n", offloadRung)
-				os.Exit(2)
-			}
-			if !contains(experiment.OffloadPolicies, policy) || !contains(experiment.OffloadSeverities, env) {
-				fmt.Fprintf(os.Stderr, "unknown offload rung %q; policies: %s; environments: %s\n",
-					offloadRung, strings.Join(experiment.OffloadPolicies, " "), strings.Join(experiment.OffloadSeverities, " "))
-				os.Exit(2)
-			}
-			r := experiment.RunOffloadTrial(policy, env, 2800)
+		if offloadPolicy != "" {
+			r := experiment.RunOffloadTrial(offloadPolicy, offloadEnv, 2800)
 			fmt.Printf("Offload trial (%s policy, %s environment): met=%v residual %.0f J (%.1f%% of supply), offload energy %.1f J\n",
-				policy, env, r.Met, r.Residual, r.Residual/experiment.Figure20InitialEnergy*100, r.OffloadEnergy)
+				offloadPolicy, offloadEnv, r.Met, r.Residual, r.Residual/experiment.Figure20InitialEnergy*100, r.OffloadEnergy)
 			fmt.Printf("  verdicts local %d / remote %d / hybrid %d; hedges %d, failovers %d, fallbacks %d, breaker trips %d\n",
 				r.OffloadLocal, r.OffloadRemote, r.OffloadHybrid,
 				r.OffloadHedges, r.OffloadFailovers, r.OffloadFallbacks, r.BreakerTrips)
