@@ -53,7 +53,7 @@ var resiliencePlans = map[string][]faults.InjectorSpec{
 // ResiliencePlanByName returns the fault plan for a severity name and trial
 // seed: nil for "none" (clean run); unknown names report ok=false.
 func ResiliencePlanByName(name string, seed int64) (*faults.PlanSpec, bool) {
-	return ladderPlan(resiliencePlans, name, name, planSeed(seed))
+	return ladderPlan(resiliencePlans, name, name, faults.FaultSeed(seed))
 }
 
 // ladderPlan looks a severity up in a ladder's spec table, returning nil
@@ -65,9 +65,6 @@ func ladderPlan(table map[string][]faults.InjectorSpec, severity, planName strin
 	}
 	return &faults.PlanSpec{Name: planName, Seed: seed, Injectors: slices.Clone(injs)}, true
 }
-
-// planSeed decorrelates fault timing from the workload's kernel stream.
-func planSeed(seed int64) int64 { return seed*2654435761 + 97 }
 
 // resilienceGoal is the Fig-19 goal-directed scenario the fault ladder runs
 // under: the harder 26-minute goal on the Figure 20 supply, which forces

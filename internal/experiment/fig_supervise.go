@@ -52,12 +52,8 @@ var misbehavePlans = map[string][]faults.InjectorSpec{
 // trial seed: nil for "none" (no misbehavior); unknown names report
 // ok=false.
 func MisbehavePlanByName(name string, seed int64) (*faults.PlanSpec, bool) {
-	return ladderPlan(misbehavePlans, name, name+"-misbehave", misSeed(seed))
+	return ladderPlan(misbehavePlans, name, name+"-misbehave", faults.MisbehaveSeed(seed))
 }
-
-// misSeed decorrelates misbehavior timing from both the workload's kernel
-// stream and the network fault plane's (which uses +97).
-func misSeed(seed int64) int64 { return seed*2654435761 + 211 }
 
 // supervisionGoal reuses the resilience scenario: the hard 26-minute goal
 // on the Figure 20 supply, where a misbehaving application that escapes

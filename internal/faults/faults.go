@@ -54,6 +54,16 @@ func NewPlan(k *sim.Kernel, name string, seed int64) *Plan {
 	}
 }
 
+// FaultSeed derives a fault plan's RNG seed from a run seed. The fault,
+// misbehavior, supervisor-jitter and offload streams each add their own
+// offset to the same multiplier, so none of them replays another's draws
+// or the kernel's workload stream.
+func FaultSeed(seed int64) int64 { return seed*2654435761 + 97 }
+
+// MisbehaveSeed derives an application-misbehavior plan's RNG seed from a
+// run seed; see FaultSeed.
+func MisbehaveSeed(seed int64) int64 { return seed*2654435761 + 211 }
+
 // Add appends injectors to the plan (before or after Start; added ones
 // start immediately if the plan is running).
 func (pl *Plan) Add(injs ...Injector) {

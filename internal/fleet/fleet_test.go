@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"odyssey/internal/experiment"
+	"odyssey/internal/faults"
 	"odyssey/internal/workload"
 )
 
@@ -26,6 +27,7 @@ func TestSessionValidity(t *testing.T) {
 	for _, b := range pop.Behaviors {
 		behaviors[b.Name] = true
 	}
+	faulted, misbehaving := 0, 0
 	for i := 0; i < 2000; i++ {
 		s := pop.Session(3, i)
 		if len(s.Apps) == 0 {
@@ -48,7 +50,18 @@ func TestSessionValidity(t *testing.T) {
 		if s.Start < 0 || s.Start >= pop.Horizon {
 			t.Fatalf("session %d: start %v outside horizon %v", i, s.Start, pop.Horizon)
 		}
+		// Plan seeds use the shared derivations, never the supervisor's.
+		if s.Faults != nil {
+			faulted++
+			if s.Faults.Seed != faults.FaultSeed(s.Seed) {
+				t.Fatalf("session %d: fault seed %d, want faults.FaultSeed(%d)", i, s.Faults.Seed, s.Seed)
+			}
+		}
 		if s.Misbehave != nil {
+			misbehaving++
+			if s.Misbehave.Seed != faults.MisbehaveSeed(s.Seed) {
+				t.Fatalf("session %d: misbehave seed %d, want faults.MisbehaveSeed(%d)", i, s.Misbehave.Seed, s.Seed)
+			}
 			for _, inj := range s.Misbehave.Injectors {
 				enabled := false
 				for _, a := range s.Apps {
@@ -61,6 +74,9 @@ func TestSessionValidity(t *testing.T) {
 				}
 			}
 		}
+	}
+	if faulted == 0 || misbehaving == 0 {
+		t.Fatalf("%d faulted and %d misbehaving sessions; the seed checks ran on nothing", faulted, misbehaving)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // commits: the aggregate fingerprint and full scorecard of the default
 // population at seed 7, 256 devices, 8 shards. A refactor meant to be
 // byte-identical must leave it unchanged.
-const goldenFleetDigest = "8c7f32755bbc8479bb4bd4caead0c4798d260c4f30956cab739c06ecb72aa70e"
+const goldenFleetDigest = "e7779f9476f82e2175daade0fe63a175ed7ac4eca44398e28762b86eb8dfb4b1"
 
 // TestGoldenFleetDigest is the cross-commit referee for the fleet plane.
 // The pin is amd64-only: on other architectures the compiler fuses

@@ -299,11 +299,11 @@ func (p Population) Session(fleetSeed int64, i int) Session {
 	// shaped like it.
 	if rng.Float64() < beh.FaultP {
 		n := 1 + rng.Intn(2)
-		sess.Faults = chaos.RandomFaultPlan(rng, "fleet-faults", faultSeed(sess.Seed), sess.SmartBattery, n)
+		sess.Faults = chaos.RandomFaultPlan(rng, "fleet-faults", faults.FaultSeed(sess.Seed), sess.SmartBattery, n)
 	}
 	if rng.Float64() < beh.MisP {
 		n := 1 + rng.Intn(2)
-		sess.Misbehave = chaos.RandomMisbehavePlan(rng, "fleet-misbehave", misbehaveSeed(sess.Seed), sess.Apps, n)
+		sess.Misbehave = chaos.RandomMisbehavePlan(rng, "fleet-misbehave", faults.MisbehaveSeed(sess.Seed), sess.Apps, n)
 	}
 
 	// 5. Offload plane (appended after every pre-existing draw, per the
@@ -318,8 +318,3 @@ func (p Population) Session(fleetSeed int64, i int) Session {
 	}
 	return sess
 }
-
-// Plan-seed derivation, matching the convention the chaos and experiment
-// planes use: each plane draws from its own stream.
-func faultSeed(seed int64) int64     { return seed*2654435761 + 131 }
-func misbehaveSeed(seed int64) int64 { return seed*2654435761 + 223 }
