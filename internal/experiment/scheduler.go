@@ -178,9 +178,11 @@ func runTrial(seed int64, t int, bar Bar, trial Trial) trialResult {
 	if bar.Setup != nil {
 		bar.Setup(rig)
 	}
-	var res trialResult
+	// The workload process starts at the rig's first instant, before any
+	// energy is charged, so the baseline snapshot is taken here rather than
+	// in the process body on the kernel's event path.
+	res := trialResult{before: rig.M.Acct.EnergyByPrincipal()}
 	rig.K.Spawn("workload", func(p *sim.Proc) {
-		res.before = rig.M.Acct.EnergyByPrincipal()
 		cp := rig.M.Acct.Checkpoint()
 		start := p.Now()
 		trial(rig, p)

@@ -24,7 +24,10 @@ type Machine struct {
 // no power management.
 func NewMachine(k *sim.Kernel, prof Profile, displayZones int) *Machine {
 	acct := power.NewAccountant(k)
-	acct.Superlinear = prof.Superlinear
+	// Bind only the two fields the correction reads: a method value on
+	// prof would copy the whole Profile on every Accountant.Power call.
+	other, coeff := prof.Other, prof.SuperlinearCoeff
+	acct.Superlinear = func(sum float64) float64 { return superlinear(sum, other, coeff) }
 	acct.SetComponent(CompOther, prof.Other)
 	m := &Machine{
 		K:       k,

@@ -154,11 +154,17 @@ func (p Profile) Scaled(powerFactor, linkFactor float64) Profile {
 
 // Superlinear maps a component power sum to total system power.
 func (p Profile) Superlinear(sum float64) float64 {
-	excess := sum - p.Other
+	return superlinear(sum, p.Other, p.SuperlinearCoeff)
+}
+
+// superlinear is Profile.Superlinear on the two fields it reads, so a
+// caller can bind them without copying the whole Profile per call.
+func superlinear(sum, other, coeff float64) float64 {
+	excess := sum - other
 	if excess < 0 {
 		excess = 0
 	}
-	return sum + p.SuperlinearCoeff*excess
+	return sum + coeff*excess
 }
 
 // BackgroundPower returns the draw with display dim and WaveLAN and disk in

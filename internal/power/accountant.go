@@ -17,7 +17,6 @@ package power
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"odyssey/internal/sim"
@@ -27,17 +26,29 @@ import (
 // runnable — the kernel idle procedure (a Pentium hlt in the paper).
 const IdlePrincipal = "Idle"
 
+// superlinearComponent is the pseudo-component booked with the excess of
+// total power over the component sum.
+const superlinearComponent = "superlinear"
+
+// idleSlot is IdlePrincipal's slot in the principal ledger.
+const idleSlot = 0
+
 // Accountant integrates energy exactly from piecewise-constant component
 // powers and CPU ownership shares.
 type Accountant struct {
 	k *sim.Kernel
 
-	components map[string]float64 // current draw per hardware component (W)
-	// order holds component names sorted, so that power sums accumulate
-	// in a deterministic order — map iteration order would otherwise
-	// perturb floating-point rounding between runs.
-	order  []string
-	shares []sim.Share // current CPU ownership (empty = idle)
+	// draw is the current draw per component slot (W), -1 for a slot no
+	// SetComponent has listed yet (the superlinear pseudo-component).
+	draw []float64
+	// order holds the listed component slots sorted by name, so that
+	// power sums accumulate in a deterministic order independent of when
+	// each component was first set.
+	order []int
+	// shares is the current CPU ownership (empty = idle); shareSlots
+	// holds each share's principal slot, resolved once per snapshot.
+	shares     []sim.Share
+	shareSlots []int
 
 	// Superlinear, if non-nil, maps the component sum to total power,
 	// modelling the consistently superlinear draw the paper measured
@@ -46,28 +57,44 @@ type Accountant struct {
 
 	last           time.Duration
 	totalEnergy    float64
-	byComponent    map[string]float64
-	byPrincipal    map[string]float64
+	byComponent    ledger
+	byPrincipal    ledger
+	superSlot      int // component slot of superlinearComponent, -1 until first booked
 	componentCache float64
 	cacheValid     bool
 
 	// pendingDt batches the per-component ledger walk: component draws are
 	// piecewise constant and change far less often than CPU shares, so
-	// integrate only accumulates the elapsed seconds here and the O(components)
-	// map walk runs once per draw change (flushComponents) instead of once
-	// per integration segment.
+	// integrate only accumulates the elapsed seconds here and the
+	// O(components) walk runs once per draw change (flushComponents)
+	// instead of once per integration segment.
 	pendingDt float64
 }
 
 // NewAccountant returns an accountant bound to k with no components.
 func NewAccountant(k *sim.Kernel) *Accountant {
-	return &Accountant{
+	a := &Accountant{
 		k:           k,
-		components:  make(map[string]float64),
-		byComponent: make(map[string]float64),
-		byPrincipal: make(map[string]float64),
+		draw:        make([]float64, 0, ledgerCap),
+		order:       make([]int, 0, ledgerCap),
+		byComponent: newLedger(),
+		byPrincipal: newLedger(),
+		superSlot:   -1,
 		last:        k.Now(),
 	}
+	a.byPrincipal.slot(IdlePrincipal) // idleSlot
+	return a
+}
+
+// componentSlot returns name's component slot, assigning an unlisted one
+// on first sight.
+func (a *Accountant) componentSlot(name string) int {
+	s := a.byComponent.slot(name)
+	if s == len(a.draw) {
+		//odylint:allow hotalloc grows once per component name, the first time it is seen
+		a.draw = append(a.draw, -1)
+	}
+	return s
 }
 
 // SetComponent updates the instantaneous draw of a hardware component,
@@ -77,7 +104,9 @@ func (a *Accountant) SetComponent(name string, watts float64) {
 		//odylint:allow panicfree negative draw corrupts every downstream integral; invariant guard
 		panic(fmt.Sprintf("power: component %q set to negative power %g", name, watts))
 	}
-	cur, known := a.components[name]
+	s := a.componentSlot(name)
+	cur := a.draw[s]
+	known := cur >= 0
 	//odylint:allow floateq exact no-op detection: an unchanged draw extends the current constant segment, it does not start a new one
 	if known && cur == watts {
 		return
@@ -85,28 +114,37 @@ func (a *Accountant) SetComponent(name string, watts float64) {
 	a.integrate()
 	a.flushComponents()
 	if !known {
-		i := sort.SearchStrings(a.order, name)
-		a.order = append(a.order, "")
-		copy(a.order[i+1:], a.order[i:])
-		a.order[i] = name
+		a.order = a.byComponent.insertByName(a.order, s)
 	}
-	a.components[name] = watts
+	a.draw[s] = watts
 	a.cacheValid = false
 }
 
 // Component returns the current draw of a component (0 if never set).
-func (a *Accountant) Component(name string) float64 { return a.components[name] }
+func (a *Accountant) Component(name string) float64 {
+	if s, ok := a.byComponent.lookup(name); ok && a.draw[s] >= 0 {
+		return a.draw[s]
+	}
+	return 0
+}
 
 // SetShares updates the CPU ownership snapshot used for software
 // attribution. An empty slice means the idle principal is charged. A
 // snapshot identical to the current one is a no-op: it neither starts a
-// new integration segment nor copies the slice.
+// new integration segment nor copies the slice. A changed snapshot
+// resolves each share's principal to its ledger slot here, once, so the
+// integration segments it covers only add into slices.
 func (a *Accountant) SetShares(shares []sim.Share) {
 	if sameShares(a.shares, shares) {
 		return
 	}
 	a.integrate()
 	a.shares = append(a.shares[:0], shares...)
+	a.shareSlots = a.shareSlots[:0]
+	for _, s := range shares {
+		//odylint:allow hotalloc slot-list growth is amortized: capacity is retained across snapshots
+		a.shareSlots = append(a.shareSlots, a.byPrincipal.slot(s.Principal))
+	}
 }
 
 // sameShares reports whether two ownership snapshots are elementwise
@@ -128,8 +166,8 @@ func sameShares(a, b []sim.Share) bool {
 func (a *Accountant) Power() float64 {
 	if !a.cacheValid {
 		sum := 0.0
-		for _, name := range a.order {
-			sum += a.components[name]
+		for _, s := range a.order {
+			sum += a.draw[s]
 		}
 		a.componentCache = sum
 		a.cacheValid = true
@@ -160,10 +198,10 @@ func (a *Accountant) integrate() {
 	// the CPU, split by processor-sharing fraction. Shares change with
 	// every job-set transition, so this stays per segment.
 	if len(a.shares) == 0 {
-		a.byPrincipal[IdlePrincipal] += total * dt
+		a.byPrincipal.charge(idleSlot, total*dt)
 	} else {
-		for _, s := range a.shares {
-			a.byPrincipal[s.Principal] += total * dt * s.Fraction
+		for i, s := range a.shares {
+			a.byPrincipal.charge(a.shareSlots[i], total*dt*s.Fraction)
 		}
 	}
 	a.checkInvariants()
@@ -182,11 +220,14 @@ func (a *Accountant) flushComponents() {
 	a.pendingDt = 0
 	total := a.Power()
 	sum := a.componentCache
-	for _, name := range a.order {
-		a.byComponent[name] += a.components[name] * dt
+	for _, s := range a.order {
+		a.byComponent.charge(s, a.draw[s]*dt)
 	}
 	if excess := total - sum; excess > 1e-12 {
-		a.byComponent["superlinear"] += excess * dt
+		if a.superSlot < 0 {
+			a.superSlot = a.componentSlot(superlinearComponent)
+		}
+		a.byComponent.charge(a.superSlot, excess*dt)
 	}
 }
 
@@ -215,46 +256,35 @@ func (a *Accountant) TotalEnergy() float64 {
 	return a.totalEnergy
 }
 
+// PrincipalEnergy returns the joules charged so far to one software
+// principal (0 if it was never charged). Unlike EnergyByPrincipal it
+// copies nothing.
+func (a *Accountant) PrincipalEnergy(name string) float64 {
+	a.integrate()
+	return a.byPrincipal.energy(name)
+}
+
 // EnergyByComponent returns a copy of the per-hardware-component integrals.
+// A component is listed once a flush has booked it, even with 0 J; the
+// superlinear pseudo-component once its excess has exceeded 1e-12 W.
 func (a *Accountant) EnergyByComponent() map[string]float64 {
 	a.integrate()
 	a.flushComponents()
-	out := make(map[string]float64, len(a.byComponent))
-	for k, v := range a.byComponent {
-		out[k] = v
-	}
-	return out
+	return a.byComponent.report()
 }
 
 // EnergyByPrincipal returns a copy of the per-software-principal integrals.
+// A principal is listed once a segment has charged it, even with 0 J.
 func (a *Accountant) EnergyByPrincipal() map[string]float64 {
 	a.integrate()
-	out := make(map[string]float64, len(a.byPrincipal))
-	for k, v := range a.byPrincipal {
-		out[k] = v
-	}
-	return out
+	return a.byPrincipal.report()
 }
 
 // Principals returns the software principals charged so far, sorted by
 // descending energy.
 func (a *Accountant) Principals() []string {
 	a.integrate()
-	names := make([]string, 0, len(a.byPrincipal))
-	for n := range a.byPrincipal {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		ei, ej := a.byPrincipal[names[i]], a.byPrincipal[names[j]]
-		if ei > ej {
-			return true
-		}
-		if ei < ej {
-			return false
-		}
-		return names[i] < names[j]
-	})
-	return names
+	return a.byPrincipal.byEnergy()
 }
 
 // Shares returns the current CPU ownership snapshot (aliased; do not modify).

@@ -32,14 +32,20 @@ func conservationTolerance(totalEnergy float64, elapsed time.Duration) float64 {
 func ConservationCheck(totalEnergy float64, byComponent, byPrincipal map[string]float64, elapsed time.Duration) error {
 	// Sum in sorted-key order: rounding makes float addition sensitive to
 	// order, and the divergence this audit reports must be reproducible.
-	byComp := sumSorted(byComponent)
-	byPrin := sumSorted(byPrincipal)
+	return checkSums(totalEnergy, sumSorted(byComponent), sumSorted(byPrincipal), elapsed)
+}
+
+// checkSums compares each ledger's sum, folded in sorted-name order,
+// against the exact integral.
+func checkSums(totalEnergy, byComp, byPrin float64, elapsed time.Duration) error {
 	tol := conservationTolerance(totalEnergy, elapsed)
 	if d := math.Abs(byComp - totalEnergy); d > tol {
+		//odylint:allow hotalloc cold path: the error is formatted only once the ledgers have diverged
 		return fmt.Errorf("power: component energy %.12g J diverged from exact integral %.12g J by %.3g J (tol %.3g) at t=%v",
 			byComp, totalEnergy, d, tol, elapsed)
 	}
 	if d := math.Abs(byPrin - totalEnergy); d > tol {
+		//odylint:allow hotalloc cold path: the error is formatted only once the ledgers have diverged
 		return fmt.Errorf("power: principal energy %.12g J diverged from exact integral %.12g J by %.3g J (tol %.3g) at t=%v",
 			byPrin, totalEnergy, d, tol, elapsed)
 	}
@@ -47,10 +53,9 @@ func ConservationCheck(totalEnergy float64, byComponent, byPrincipal map[string]
 }
 
 // sumSorted adds a ledger's values in ascending key order, so the total is
-// a deterministic function of the ledger's contents. It runs below the
-// accountant's integrate step, so it must not allocate: instead of
-// collect-and-sort it does an O(n²) min-key selection walk, which is fine
-// for ledgers that never exceed a couple dozen principals.
+// a deterministic function of the ledger's contents. It must not allocate:
+// instead of collect-and-sort it does an O(n²) min-key selection walk,
+// which is fine for ledgers that never exceed a couple dozen principals.
 func sumSorted(m map[string]float64) float64 {
 	var sum float64
 	var prev string
@@ -82,5 +87,11 @@ func sumSorted(m map[string]float64) float64 {
 func (a *Accountant) AuditConservation() error {
 	a.integrate()
 	a.flushComponents()
-	return ConservationCheck(a.totalEnergy, a.byComponent, a.byPrincipal, a.last)
+	return a.conservation()
+}
+
+// conservation cross-checks both slot ledgers against the exact integral,
+// folding each in the sorted-name order ConservationCheck uses for maps.
+func (a *Accountant) conservation() error {
+	return checkSums(a.totalEnergy, a.byComponent.sum(), a.byPrincipal.sum(), a.last)
 }

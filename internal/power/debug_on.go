@@ -7,14 +7,14 @@ package power
 const debugAssertions = true
 
 // assertConsistent cross-checks the exact integrator against both
-// attribution ledgers after every integration step, via the same
-// ConservationCheck the chaos sentinels query post-run (audit.go). A
+// attribution ledgers after every integration step, via the same check
+// AuditConservation and the chaos sentinels run post-run (audit.go). A
 // divergence means energy was created or destroyed by an accounting bug -
 // precisely the silent corruption the paper's methodology cannot tolerate -
 // so under the debug tag the simulation stops immediately rather than
 // producing a plausible-looking figure.
 func (a *Accountant) assertConsistent() {
-	if err := ConservationCheck(a.totalEnergy, a.byComponent, a.byPrincipal, a.last); err != nil {
+	if err := a.conservation(); err != nil {
 		//odylint:allow panicfree debug-only invariant: continuing would publish corrupt energy figures
 		panic(err.Error())
 	}

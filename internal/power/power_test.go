@@ -274,3 +274,64 @@ func TestMeterStartIdempotent(t *testing.T) {
 		t.Fatalf("double Start produced %d samples, want 9", n)
 	}
 }
+
+// TestLedgerSteadyStateAllocationFree: once every component and principal
+// name has been seen, the integrator's per-event entry points allocate
+// nothing — each name resolves to a dense slot and joules are added into
+// slices.
+func TestLedgerSteadyStateAllocationFree(t *testing.T) {
+	components := []string{"cpu", "display", "disk", "network", "other"}
+	watts := []float64{0.5, 1.5, 2.5}
+	shareSets := [][]sim.Share{
+		{{Principal: "video", Fraction: 0.5}, {Principal: "speech", Fraction: 0.5}},
+		nil,
+		{{Principal: "web", Fraction: 1}},
+		{{Principal: "video", Fraction: 0.25}, {Principal: "map", Fraction: 0.75}},
+	}
+	principals := []string{"video", "speech", "web", "map", IdlePrincipal, "never-charged"}
+	for _, tc := range []struct {
+		name string
+		op   func(a *Accountant, i int)
+	}{
+		{"SetComponent", func(a *Accountant, i int) { a.SetComponent(components[i%len(components)], watts[i%len(watts)]) }},
+		{"SetShares", func(a *Accountant, i int) { a.SetShares(shareSets[i%len(shareSets)]) }},
+		{"TotalEnergy", func(a *Accountant, i int) { _ = a.TotalEnergy() }},
+		{"PrincipalEnergy", func(a *Accountant, i int) { _ = a.PrincipalEnergy(principals[i%len(principals)]) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel(1)
+			a := NewAccountant(k)
+			a.Superlinear = func(sum float64) float64 { return sum * 1.02 }
+			for _, c := range components {
+				a.SetComponent(c, 1)
+			}
+			for _, s := range shareSets {
+				a.SetShares(s)
+			}
+			a.SetShares(shareSets[0])
+			i := 0
+			k.Every(time.Millisecond, func() { tc.op(a, i); i++ }).Start()
+			// Warm up: the kernel's timer slots grow on first use.
+			k.Run(time.Second)
+			if allocs := testing.AllocsPerRun(100, func() { k.Run(k.Now() + 10*time.Millisecond) }); allocs != 0 {
+				t.Fatalf("10 steady-state %s calls made %v allocations", tc.name, allocs)
+			}
+		})
+	}
+}
+
+func TestPrincipalEnergyMatchesReport(t *testing.T) {
+	k := sim.NewKernel(1)
+	a := NewAccountant(k)
+	a.SetComponent("x", 4)
+	a.SetShares([]sim.Share{{Principal: "app", Fraction: 0.25}, {Principal: "irq", Fraction: 0.75}})
+	k.At(3*time.Second, func() { a.SetShares(nil) })
+	k.At(5*time.Second, func() {})
+	k.Run(0)
+	byP := a.EnergyByPrincipal()
+	for _, name := range []string{"app", "irq", IdlePrincipal, "absent"} {
+		if got, want := a.PrincipalEnergy(name), byP[name]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("PrincipalEnergy(%q) = %v, EnergyByPrincipal has %v", name, got, want)
+		}
+	}
+}
