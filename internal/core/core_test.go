@@ -612,3 +612,50 @@ func TestMonitorPeriodAllocationFree(t *testing.T) {
 		t.Fatalf("steady state directed %d adaptations", n-before)
 	}
 }
+
+// TestMonitorEvaluationAllocationFree: one evaluation with an OnEvaluate
+// hook installed and no trace being recorded allocates nothing; the
+// per-evaluation Levels map is built only for a Trace hook.
+func TestMonitorEvaluationAllocationFree(t *testing.T) {
+	a := newFakeApp("a", 3)
+	b := newFakeApp("b", 3)
+	k, _, em := rig(1, 100_000, 5.0, a, b)
+	em.SetGoal(2 * time.Hour)
+	var evaluations int
+	var last time.Duration
+	em.OnEvaluate = func(now time.Duration) { evaluations++; last = now }
+	em.Start()
+	k.Run(10 * time.Minute)
+	if allocs := testing.AllocsPerRun(50, em.evaluate); allocs != 0 {
+		t.Fatalf("one evaluation made %v allocations", allocs)
+	}
+	if evaluations == 0 || last != k.Now() {
+		t.Fatalf("OnEvaluate saw %d evaluations, last at %v (now %v)", evaluations, last, k.Now())
+	}
+}
+
+// TestOnEvaluateSeesPreAdaptationLevels: OnEvaluate runs at the same point
+// as Trace, before the evaluation directs a degrade, so both observe the
+// level the application held over the preceding interval.
+func TestOnEvaluateSeesPreAdaptationLevels(t *testing.T) {
+	app := newFakeApp("app", 4)
+	k, _, em := rig(1, 200, 8.0, app) // 200 J at 8 W cannot last a minute
+	em.SetGoal(time.Minute)
+	var hooked, traced []int
+	em.OnEvaluate = func(time.Duration) { hooked = append(hooked, app.Level()) }
+	em.Trace = func(tp TracePoint) { traced = append(traced, tp.Levels["app"]) }
+	em.Start()
+	k.At(10*time.Second, func() { em.Stop() })
+	k.Run(11 * time.Second)
+	if len(hooked) == 0 || len(hooked) != len(traced) {
+		t.Fatalf("OnEvaluate ran %d times, Trace %d", len(hooked), len(traced))
+	}
+	for i := range hooked {
+		if hooked[i] != traced[i] {
+			t.Fatalf("evaluation %d: OnEvaluate saw level %d, Trace %d", i, hooked[i], traced[i])
+		}
+	}
+	if hooked[0] != 3 || app.Level() != 0 {
+		t.Fatalf("levels %v, final %d: want a degrade from 3 to 0", hooked, app.Level())
+	}
+}

@@ -141,7 +141,13 @@ type EnergyMonitor struct {
 	// OnInfeasible, if set, is called once when the monitor concludes the
 	// goal cannot be met even at lowest fidelity.
 	OnInfeasible func()
-	// Trace, if set, receives a point at every evaluation.
+	// OnEvaluate, if set, is called at every evaluation instant, before
+	// any adaptation is directed, with the applications still at the
+	// levels they held over the preceding interval.
+	OnEvaluate func(now time.Duration)
+	// Trace, if set, receives a point at every evaluation, right after
+	// OnEvaluate. Each point carries a fresh Levels map, so install it
+	// only when the points are kept.
 	Trace func(TracePoint)
 	// Events, if set, records adaptation decisions in the event log.
 	Events *trace.Log
@@ -310,6 +316,9 @@ func (em *EnergyMonitor) evaluate() {
 	residual := em.src.Residual()
 	demand := em.PredictedDemand()
 
+	if em.OnEvaluate != nil {
+		em.OnEvaluate(now)
+	}
 	if em.Trace != nil {
 		levels := make(map[string]int, len(em.v.apps))
 		for _, r := range em.v.apps {

@@ -186,12 +186,12 @@ type GoalResult struct {
 type fidelityAverager struct {
 	apps    []*core.Registration
 	last    time.Duration
-	weights map[string]float64
+	weights []float64 // level-seconds per registration, indexed like apps
 	total   time.Duration
 }
 
 func newFidelityAverager(apps []*core.Registration) *fidelityAverager {
-	return &fidelityAverager{apps: apps, weights: make(map[string]float64)}
+	return &fidelityAverager{apps: apps, weights: make([]float64, len(apps))}
 }
 
 // observe charges the interval since the last observation at each app's
@@ -203,13 +203,13 @@ func (fa *fidelityAverager) observe(now time.Duration) {
 		return
 	}
 	fa.total += dt
-	for _, r := range fa.apps {
+	for i, r := range fa.apps {
 		max := len(r.App.Levels()) - 1
 		norm := 1.0
 		if max > 0 {
 			norm = float64(r.App.Level()) / float64(max)
 		}
-		fa.weights[r.App.Name()] += norm * dt.Seconds()
+		fa.weights[i] += norm * dt.Seconds()
 	}
 }
 
@@ -219,8 +219,8 @@ func (fa *fidelityAverager) means() map[string]float64 {
 	if fa.total <= 0 {
 		return out
 	}
-	for name, w := range fa.weights {
-		out[name] = w / fa.total.Seconds()
+	for i, r := range fa.apps {
+		out[r.App.Name()] = fa.weights[i] / fa.total.Seconds()
 	}
 	return out
 }
@@ -395,11 +395,9 @@ func RunGoal(opt GoalOptions) GoalResult {
 		misPlan.Start()
 	}
 	avg := newFidelityAverager(regs)
-	em.Trace = func(tp core.TracePoint) {
-		avg.observe(tp.Time)
-		if opt.RecordTrace {
-			res.Trace = append(res.Trace, tp)
-		}
+	em.OnEvaluate = avg.observe
+	if opt.RecordTrace {
+		em.Trace = func(tp core.TracePoint) { res.Trace = append(res.Trace, tp) }
 	}
 	if !opt.DisableAdaptation {
 		em.Start()
@@ -472,7 +470,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 	for _, r := range regs {
 		res.Adaptations[r.App.Name()] = r.Adaptations
 	}
-	res.RetryEnergy = rig.M.Acct.EnergyByPrincipal()[netsim.PrincipalRetry]
+	res.RetryEnergy = rig.M.Acct.PrincipalEnergy(netsim.PrincipalRetry)
 	res.RetryAttempts = rig.Net.RetryAttempts()
 	res.RetryBytes = rig.Net.RetryBytes()
 	res.DeadlineAborts = rig.Net.DeadlineAborts()
@@ -497,7 +495,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 	}
 	if rig.Offload != nil {
 		st := rig.Offload.Stats
-		res.OffloadEnergy = rig.M.Acct.EnergyByPrincipal()[offload.Principal]
+		res.OffloadEnergy = rig.M.Acct.PrincipalEnergy(offload.Principal)
 		res.OffloadLocal = st.LocalRuns
 		res.OffloadRemote = st.RemoteRuns
 		res.OffloadHybrid = st.HybridRuns
@@ -507,7 +505,7 @@ func RunGoal(opt GoalOptions) GoalResult {
 		res.BreakerTrips = st.BreakerTrips
 	}
 	if sup != nil {
-		res.SuperviseEnergy = rig.M.Acct.EnergyByPrincipal()[supervise.Principal]
+		res.SuperviseEnergy = rig.M.Acct.PrincipalEnergy(supervise.Principal)
 		res.MissedAcks = sup.MissedAcks()
 		res.Restarts = sup.Restarts()
 		res.Quarantined = sup.Quarantined()
