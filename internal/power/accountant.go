@@ -59,7 +59,6 @@ type Accountant struct {
 	totalEnergy    float64
 	byComponent    ledger
 	byPrincipal    ledger
-	superSlot      int // component slot of superlinearComponent, -1 until first booked
 	componentCache float64
 	cacheValid     bool
 
@@ -79,7 +78,6 @@ func NewAccountant(k *sim.Kernel) *Accountant {
 		order:       make([]int, 0, ledgerCap),
 		byComponent: newLedger(),
 		byPrincipal: newLedger(),
-		superSlot:   -1,
 		last:        k.Now(),
 	}
 	a.byPrincipal.slot(IdlePrincipal) // idleSlot
@@ -224,10 +222,7 @@ func (a *Accountant) flushComponents() {
 		a.byComponent.charge(s, a.draw[s]*dt)
 	}
 	if excess := total - sum; excess > 1e-12 {
-		if a.superSlot < 0 {
-			a.superSlot = a.componentSlot(superlinearComponent)
-		}
-		a.byComponent.charge(a.superSlot, excess*dt)
+		a.byComponent.charge(a.componentSlot(superlinearComponent), excess*dt)
 	}
 }
 
