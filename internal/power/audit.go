@@ -53,9 +53,10 @@ func checkSums(totalEnergy, byComp, byPrin float64, elapsed time.Duration) error
 }
 
 // sumSorted adds a ledger's values in ascending key order, so the total is
-// a deterministic function of the ledger's contents. It must not allocate:
-// instead of collect-and-sort it does an O(n²) min-key selection walk,
-// which is fine for ledgers that never exceed a couple dozen principals.
+// a deterministic function of the ledger's contents. Instead of
+// collect-and-sort it does an allocation-free O(n²) min-key selection
+// walk, which is fine for ledgers that never exceed a couple dozen
+// principals.
 func sumSorted(m map[string]float64) float64 {
 	var sum float64
 	var prev string
