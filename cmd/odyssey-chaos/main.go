@@ -23,15 +23,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"odyssey/internal/chaos"
 	"odyssey/internal/experiment"
+	"odyssey/internal/journal"
 )
 
 func main() {
@@ -43,7 +41,7 @@ func main() {
 		budget     = flag.Int("shrink-budget", 200, "max candidate runs per shrink")
 		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the soak")
 		outDir     = flag.String("out", "chaos-failures", "directory for failing-scenario files")
-		journal    = flag.String("journal", "", "append-only outcome journal (JSON lines, fsync'd per scenario)")
+		jpath      = flag.String("journal", "", "crash-safe outcome journal (JSON lines, fsync'd per scenario; starts fresh without -resume)")
 		resume     = flag.Bool("resume", false, "replay the journal first, skipping completed scenarios")
 		deadline   = flag.Duration("deadline", 0, "wall-clock deadline per scenario (0 = none); backstops true hangs")
 		report     = flag.String("report", "", "also write the deterministic soak report to this file")
@@ -59,7 +57,7 @@ func main() {
 		Shrink:       *shrink,
 		ShrinkBudget: *budget,
 		Dir:          *outDir,
-		Journal:      *journal,
+		Journal:      *jpath,
 		Resume:       *resume,
 		Deadline:     *deadline,
 	}
@@ -78,38 +76,17 @@ func main() {
 	}
 }
 
-// trapInterrupt installs the SIGINT handler and returns the soak's Stop
-// poll. The first interrupt requests a graceful stop (unstarted scenarios
-// are skipped; in-flight ones finish and journal); the handler then
-// detaches, so a second interrupt kills the process outright.
-func trapInterrupt() func() bool {
-	var stopped atomic.Bool
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt)
-	go func() {
-		<-ch
-		stopped.Store(true)
-		fmt.Fprintln(os.Stderr, "interrupt: finishing in-flight scenarios and flushing the journal (^C again to kill)")
-		signal.Stop(ch)
-	}()
-	return stopped.Load
-}
-
-// resumeCommand reconstructs the invocation that continues an interrupted
-// soak: the same command line plus -resume.
-func resumeCommand() string {
-	args := os.Args
-	for _, a := range args {
-		if a == "-resume" || a == "--resume" {
-			return strings.Join(args, " ")
-		}
+// soakOnce runs one resumable soak with SIGINT trapped, renders the report,
+// handles the interrupted case, and maps the summary to an exit code.
+func soakOnce(opts chaos.SoakOptions, reportPath string) int {
+	opts.Progress = os.Stderr
+	opts.Stop = journal.TrapInterrupt("scenarios")
+	start := time.Now()
+	sum, err := chaos.Soak(opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
-	return strings.Join(args, " ") + " -resume"
-}
-
-// finishSoak renders the report, handles the interrupted case, and maps the
-// summary to an exit code.
-func finishSoak(sum *chaos.SoakSummary, reportPath string, wall time.Duration) int {
 	sum.WriteReport(os.Stdout)
 	if reportPath != "" {
 		f, err := os.Create(reportPath)
@@ -124,9 +101,10 @@ func finishSoak(sum *chaos.SoakSummary, reportPath string, wall time.Duration) i
 		}
 	}
 	fmt.Fprintf(os.Stderr, "soak: %d ran, %d replayed, %d failure(s) in %v\n",
-		sum.Ran, sum.Replayed, len(sum.Failures), wall.Round(time.Millisecond))
+		sum.Ran, sum.Replayed, len(sum.Failures), time.Since(start).Round(time.Millisecond))
 	if sum.Interrupted {
-		fmt.Fprintf(os.Stderr, "interrupted: %d scenario(s) not run; resume with:\n  %s\n", sum.NotRun, resumeCommand())
+		fmt.Fprintf(os.Stderr, "interrupted: %d scenario(s) not run; resume with:\n  %s\n",
+			sum.NotRun, journal.ResumeCommand("odyssey-chaos", os.Args))
 		return 130
 	}
 	if !sum.OK() {
@@ -210,15 +188,7 @@ func runCorpusSoak(dir string, opts chaos.SoakOptions, reportPath string) int {
 		return 0
 	}
 	opts.Scenarios = scs
-	opts.Progress = os.Stderr
-	opts.Stop = trapInterrupt()
-	start := time.Now()
-	sum, err := chaos.Soak(opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	return finishSoak(sum, reportPath, time.Since(start))
+	return soakOnce(opts, reportPath)
 }
 
 // runSoak executes a generated soak: count budgets run as one resumable
@@ -229,18 +199,10 @@ func runSoak(budgetArg string, seed int64, opts chaos.SoakOptions, reportPath st
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	start := time.Now()
 	if count > 0 {
 		opts.Seed = seed
 		opts.Count = count
-		opts.Progress = os.Stderr
-		opts.Stop = trapInterrupt()
-		sum, err := chaos.Soak(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		return finishSoak(sum, reportPath, time.Since(start))
+		return soakOnce(opts, reportPath)
 	}
 
 	// Wall-clock budget: batches re-derive their seeds from the running
@@ -250,7 +212,8 @@ func runSoak(budgetArg string, seed int64, opts chaos.SoakOptions, reportPath st
 		fmt.Fprintln(os.Stderr, "odyssey-chaos: -journal/-resume need a scenario-count or corpus soak, not a wall-clock budget")
 		return 2
 	}
-	stop := trapInterrupt()
+	start := time.Now()
+	stop := journal.TrapInterrupt("scenarios")
 	ran, failures := 0, 0
 	const batch = 50
 	for !stop() && time.Since(start) < wall {

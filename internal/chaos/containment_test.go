@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"odyssey/internal/faults"
+	"odyssey/internal/journal"
 )
 
 // The containment-plane self-tests: planted panics in every layer the
@@ -241,6 +242,25 @@ func TestSoakJournalResumeByteIdentical(t *testing.T) {
 	res2.WriteReport(&got2)
 	if got2.String() != want.String() {
 		t.Fatal("fully-replayed report is not byte-identical")
+	}
+}
+
+// TestSoakJournalStartsFreshWithoutResume: a soak given a journal but not
+// -resume truncates it, so the journal holds only that soak's entries and
+// a later -resume cannot replay a stale run's outcomes.
+func TestSoakJournalStartsFreshWithoutResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "soak.jsonl")
+	for _, seed := range []int64{4, 9} {
+		if _, err := Soak(SoakOptions{Seed: seed, Count: 1, Journal: path}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries, warnings, _, err := journal.Read[journalEntry](path, nil, nil)
+	if err != nil || len(warnings) != 0 {
+		t.Fatalf("read: err=%v warnings=%v", err, warnings)
+	}
+	if len(entries) != 1 || entries[0].ID != Generate(9).ID() {
+		t.Fatalf("journal holds %+v, want only the second soak's scenario %s", entries, Generate(9).ID())
 	}
 }
 

@@ -1,24 +1,18 @@
 package chaos
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 )
 
-// The soak journal: a crash-safe record of per-scenario outcomes, one JSON
-// line per scenario, appended and fsync'd as each scenario finishes its
-// full treatment (run, audit, shrink, save). A soak killed mid-run leaves a
-// journal whose entries are complete; -resume replays them to skip finished
-// work and, because every field the final report needs is in the entry, a
-// resumed soak's report is byte-identical to an uninterrupted one.
+// The soak journal (package journal): one headerless line per scenario,
+// written as the scenario finishes its full treatment (run, audit, shrink,
+// save). Every field the final report needs is in the entry, so a resumed
+// soak's report is byte-identical to an uninterrupted one.
 //
 // Entries are content-addressed: each carries the scenario id its index
 // mapped to, and resume ignores entries whose id no longer matches (a
-// journal reused across a seed or corpus change poisons nothing). A torn
-// final line — the write the crash interrupted — is skipped with a warning.
+// journal reused across a seed or corpus change poisons nothing).
 
 // journalEntry is one completed scenario's outcome.
 type journalEntry struct {
@@ -55,71 +49,21 @@ func (e *journalEntry) failure() Failure {
 	return f
 }
 
-// journalWriter appends entries to the journal file, one fsync'd line each,
-// so an entry is either durably complete or (at worst) a torn final line
-// the reader skips.
-type journalWriter struct {
-	f *os.File
-}
-
-func openJournal(path string) (*journalWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &journalWriter{f: f}, nil
-}
-
-func (w *journalWriter) append(e journalEntry) error {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
-	}
-	if _, err := w.f.Write(append(b, '\n')); err != nil {
-		return err
-	}
-	return w.f.Sync()
-}
-
-func (w *journalWriter) close() error { return w.f.Close() }
-
-// readJournal loads completed entries by index. The last entry for an index
-// wins (a resumed soak appends; it never rewrites). Unparsable lines —
-// normally only a torn final line from a crash mid-append — are skipped
-// with a warning. A missing journal is an empty one.
-func readJournal(path string) (map[int]journalEntry, []string, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() { _ = f.Close() }() // read-only; nothing to flush
-	done := make(map[int]journalEntry)
-	var warnings []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+// replayable returns the resume reader's validity check for a soak of
+// count scenarios: a failed entry must carry its failure record, and the
+// entry's index must fall inside the soak and still map to the scenario id
+// it recorded.
+func replayable(count int, scenario func(int) Scenario) func(journalEntry) string {
+	return func(e journalEntry) string {
+		switch {
+		case !e.OK && e.F == nil:
+			return "failed entry with no failure record"
+		case e.I < 0 || e.I >= count:
+			return fmt.Sprintf("entry %d outside the soak", e.I)
 		}
-		var e journalEntry
-		if err := json.Unmarshal(raw, &e); err != nil {
-			warnings = append(warnings, fmt.Sprintf("journal %s line %d: skipping unparsable entry: %v", path, line, err))
-			continue
+		if id := scenario(e.I).ID(); id != e.ID {
+			return fmt.Sprintf("entry %d recorded scenario %s, soak has %s; re-running it", e.I, e.ID, id)
 		}
-		if !e.OK && e.F == nil {
-			warnings = append(warnings, fmt.Sprintf("journal %s line %d: skipping failed entry with no failure record", path, line))
-			continue
-		}
-		done[e.I] = e
+		return ""
 	}
-	if err := sc.Err(); err != nil {
-		return nil, warnings, err
-	}
-	return done, warnings, nil
 }

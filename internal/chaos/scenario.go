@@ -23,6 +23,7 @@ import (
 
 	"odyssey/internal/faults"
 	"odyssey/internal/hw"
+	"odyssey/internal/journal"
 )
 
 // Scenario is one serializable chaos trial: everything RunGoal needs to
@@ -253,5 +254,5 @@ func LoadCorpus(dir string) (scs []Scenario, paths, warnings []string, err error
 // ReproCommand returns the one-line command that replays a saved scenario
 // through the full sentinel suite.
 func ReproCommand(path string) string {
-	return "go run ./cmd/odyssey-chaos -scenario " + path
+	return journal.Command("odyssey-chaos", "-scenario", path)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"odyssey/internal/experiment"
+	"odyssey/internal/journal"
 )
 
 // The soak driver: generate scenario i from (base seed + i) — or take it
@@ -38,8 +39,9 @@ type SoakOptions struct {
 	// Progress, when non-nil, receives one line per failure and per
 	// accepted shrink step as they happen.
 	Progress io.Writer
-	// Journal, when non-empty, is the append-only outcome journal (one
-	// fsync'd JSON line per completed scenario; see journal.go).
+	// Journal, when non-empty, is the crash-safe outcome journal (one
+	// fsync'd JSON line per completed scenario; see journal.go). Without
+	// Resume it starts fresh.
 	Journal string
 	// Resume replays Journal before running: journaled indices whose
 	// scenario id still matches are skipped and their recorded outcomes
@@ -206,42 +208,26 @@ func Soak(opts SoakOptions) (*SoakSummary, error) {
 		scenario = func(i int) Scenario { return opts.Scenarios[i] }
 	}
 
-	var done map[int]journalEntry
-	if opts.Journal != "" && opts.Resume {
-		replayed, warnings, err := readJournal(opts.Journal)
-		if err != nil {
-			return nil, err
-		}
-		for _, warning := range warnings {
-			logf("%s", warning)
-		}
-		indices := make([]int, 0, len(replayed))
-		for i := range replayed {
-			indices = append(indices, i)
-		}
-		sort.Ints(indices)
-		done = make(map[int]journalEntry, len(replayed))
-		for _, i := range indices {
-			e := replayed[i]
-			if i < 0 || i >= count {
-				logf("journal %s: entry %d outside the soak; ignoring", opts.Journal, i)
-				continue
-			}
-			if id := scenario(i).ID(); id != e.ID {
-				logf("journal %s: entry %d recorded scenario %s, soak has %s; re-running", opts.Journal, i, e.ID, id)
-				continue
-			}
-			done[i] = e
-		}
-	}
-	var jw *journalWriter
+	done := make(map[int]journalEntry)
+	var jw *journal.Writer
 	if opts.Journal != "" {
+		if opts.Resume {
+			entries, warnings, _, err := journal.Read(opts.Journal, nil, replayable(count, scenario))
+			if err != nil {
+				return nil, err
+			}
+			for _, warning := range warnings {
+				logf("%s", warning)
+			}
+			for _, e := range entries {
+				done[e.I] = e // a resumed soak only appends: the last entry wins
+			}
+		}
 		var err error
-		if jw, err = openJournal(opts.Journal); err != nil {
+		if jw, err = journal.Create(opts.Journal, nil, opts.Resume); err != nil {
 			return nil, err
 		}
-		// Each entry is fsync'd as it lands; nothing is left to flush here.
-		defer func() { _ = jw.close() }()
+		defer func() { _ = jw.Close() }() // every entry was fsync'd as it landed
 	}
 
 	type slot struct {
@@ -316,7 +302,7 @@ func Soak(opts SoakOptions) (*SoakSummary, error) {
 			}
 		}
 		if jw != nil {
-			if err := jw.append(entry); err != nil {
+			if err := jw.Append(entry); err != nil {
 				return nil, err
 			}
 		}

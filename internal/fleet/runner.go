@@ -7,6 +7,7 @@ import (
 
 	"odyssey/internal/chaos"
 	"odyssey/internal/experiment"
+	"odyssey/internal/journal"
 	"odyssey/internal/workload"
 )
 
@@ -93,23 +94,31 @@ func Run(opts RunOptions) (*Result, error) {
 		return &Result{Opts: opts, Agg: NewAggregate()}, nil
 	}
 
-	var replayed map[int]*Aggregate
-	var jw *fleetJournal
+	replayed := make([]*Aggregate, shards)
+	var jw *journal.Writer
 	if opts.Journal != "" {
 		hdr := journalHeader{Population: opts.Population.Name, Seed: opts.Seed, Devices: n, Shards: shards}
-		var warnings []string
+		resume := false
+		if opts.Resume {
+			entries, warnings, ok, err := journal.Read(opts.Journal, hdr, hdr.check)
+			if err != nil {
+				return nil, err
+			}
+			if opts.Progress != nil {
+				for _, w := range warnings {
+					_, _ = fmt.Fprintln(opts.Progress, w)
+				}
+			}
+			for _, e := range entries {
+				replayed[e.Shard] = e.Agg // a resumed run only appends: the last entry wins
+			}
+			resume = ok
+		}
 		var err error
-		jw, replayed, warnings, err = openFleetJournal(opts.Journal, hdr, opts.Resume)
-		if err != nil {
+		if jw, err = journal.Create(opts.Journal, hdr, resume); err != nil {
 			return nil, err
 		}
-		// Each shard entry is fsync'd as it lands; nothing is left to flush.
-		defer func() { _ = jw.close() }()
-		if opts.Progress != nil {
-			for _, w := range warnings {
-				_, _ = fmt.Fprintln(opts.Progress, w)
-			}
-		}
+		defer func() { _ = jw.Close() }() // every entry was fsync'd as it landed
 	}
 
 	aggs := make([]*Aggregate, shards)
@@ -138,7 +147,7 @@ func Run(opts RunOptions) (*Result, error) {
 		// Journal before publishing: a shard is either durably journaled
 		// and counted, or neither.
 		if jw != nil {
-			if err := jw.append(s, agg); err != nil {
+			if err := jw.Append(shardEntry{Shard: s, Agg: agg}); err != nil {
 				errs[s] = err
 				return
 			}
